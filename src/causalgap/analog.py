@@ -28,6 +28,7 @@ from .kernel import (
     QuadratureResult,
     integrate_adaptive,
     oscillatory_kernel,
+    oscillatory_tail_integral,
     sine_integral,
 )
 from .signals import AnalogDelay, SampledSignal
@@ -215,11 +216,16 @@ def delayed_report(
 ) -> ApproximationReport:
     """Distance and angle to the filters allowed to look ahead by T.
 
-    distance(T)^2 = (b - a)/2 - (1/2) integral_{-T}^{T} kappa.  The integral
-    is evaluated both by adaptive quadrature (reported) and by the sine
-    integral closed form; the two must agree within their combined error
-    budgets or the computation aborts.  T = 0 returns the causal closed
-    form unchanged.
+    distance(T)^2 is the kernel mass beyond T,
+    (1/pi) [2 sin^2(cT/2) / T + c (pi/2 - Si(cT))], reported as
+    "ClosedForm" with error_estimate 0: both terms keep the size of the
+    result, so the relative error stays at rounding level for every cT, at
+    a cost that does not grow with T.  Passing cfg asks for the adaptive
+    quadrature route instead: distance(T)^2 = (b - a)/2 - (1/2) integral
+    over [-T, T] of kappa, reported as "Quadrature" with its error estimate
+    and converged flag, and cross-checked against the sine integral (the
+    two must agree within their combined error budgets or the computation
+    aborts).  T = 0 returns the causal closed form unchanged.
     """
     _require_analog(band)
     c = band.bandwidth
@@ -228,6 +234,25 @@ def delayed_report(
         # empty window; zero look-ahead IS the causal subspace, so the
         # closed-form causal report is the exact answer
         return causal_report(band)
+    if cfg is not None:
+        return _quadrature_report(band, T, cfg)
+    dist = delayed_distance_si(band, delay)
+    norm = math.sqrt(c)
+    return ApproximationReport(
+        kernel_norm=norm,
+        distance=dist,
+        angle=math.asin(min(1.0, dist / norm)),
+        subspace="Delayed",
+        method="ClosedForm",
+        error_estimate=0.0,
+        delay=T,
+    )
+
+
+def _quadrature_report(
+    band: BandpassInterval, T: float, cfg: QuadratureConfig
+) -> ApproximationReport:
+    c = band.bandwidth
     quad = truncation_energy_quadrature(band, T, cfg)
     mass_si = truncation_energy_si(band, T)
     cross_tol = max(1e-7 * (1.0 + c), 100.0 * (quad.error_estimate + 1e-12 * (1.0 + c)))
@@ -260,11 +285,16 @@ def delayed_report(
 
 
 def delayed_distance_si(band: BandpassInterval, delay: AnalogDelay) -> float:
-    """Same distance as delayed_report but through the Si closed form only."""
+    """Distance to the filters with look-ahead T, from the sine-integral closed form.
+
+    sqrt of (1/pi) integral_T^inf (1 - cos(c t)) / t^2 dt
+    (kernel.oscillatory_tail_integral); sqrt(c/2) at T = 0.
+    """
     _require_analog(band)
     c = band.bandwidth
-    d2 = 0.5 * c - 0.5 * truncation_energy_si(band, delay.T)
-    return math.sqrt(max(0.0, d2))
+    if delay.T == 0.0:
+        return math.sqrt(0.5 * c)
+    return math.sqrt(oscillatory_tail_integral(c, delay.T) / math.pi)
 
 
 def real_transfer_report(samples: TransferFunctionSamples) -> ApproximationReport:

@@ -1,8 +1,9 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters, 3 quadrature hit its subdivision budget (the report is still
-printed, with converged=false), 4 unwritable output path.
+parameters, 3 a quadrature asked for with --quad-tol or --max-subdivisions
+hit its subdivision budget (the report is still printed, with
+converged=false), 4 unwritable output path.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given
@@ -332,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--a", type=float, required=True, help="lower band edge")
     pa.add_argument("--b", type=float, required=True, help="upper band edge")
     pa.add_argument("--delay", type=float, default=None, help="look-ahead T (causal if omitted)")
-    pa.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance override")
-    pa.add_argument("--max-subdivisions", type=int, default=None, help="quadrature budget override")
+    pa.add_argument("--quad-tol", type=float, default=None, help="evaluate by adaptive quadrature with this tolerance")
+    pa.add_argument("--max-subdivisions", type=int, default=None, help="evaluate by adaptive quadrature with this budget")
     pa.add_argument("--format", choices=("json", "text"), default="json")
     pa.set_defaults(func=cmd_analog)
 

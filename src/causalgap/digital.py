@@ -18,7 +18,7 @@ import numpy as np
 
 from .analog import ApproximationReport
 from .errors import DomainError, NegativeRadicand
-from .kernel import TWO_PI, BandpassInterval
+from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_sum
 from .signals import DigitalDelay, DigitalSequence
 
 __all__ = [
@@ -103,28 +103,33 @@ class FourierCoefficientTable:
         return self.band.bandwidth / TWO_PI - self.energy()
 
 
-_SUM_CHUNK = 1 << 22
+#: look-ahead up to which the tail is a direct partial sum; above it the
+#: constant-cost expansion of kernel.oscillatory_tail_sum is cheaper
+DIRECT_SUM_MAX_N = 300
 
 
 def _bracket(band: BandpassInterval, N: int) -> float:
     """Normalized tail fraction sin^2(angle) after N taps of look-ahead.
 
     bracket = (2 pi / c) * sum_{k > N} |c_k|^2
-            = 1/2 - c/(4 pi) - (1 / (pi c)) sum_{k=1}^{N} (1 - cos(k c)) / k^2.
+            = (1 / (pi c)) sum_{k > N} (1 - cos(k c)) / k^2.
 
-    The partial sum is finite, taken with the half-angle form of 1 - cos and
-    exact (fsum) accumulation, so adjacent N give consistently rounded
-    values and the empty sum at N = 0 is literally zero.
+    Up to N = DIRECT_SUM_MAX_N it is
+    1/2 - c/(4 pi) - (1 / (pi c)) sum_{k=1}^{N} (1 - cos(k c)) / k^2, with
+    the half-angle form of 1 - cos and exact (fsum) accumulation, so
+    adjacent N give consistently rounded values and the empty sum at N = 0
+    is literally zero.  Above it the tail itself comes from
+    oscillatory_tail_sum, at a cost and a relative error that do not grow
+    with N.
     """
     c = band.bandwidth
+    if N > DIRECT_SUM_MAX_N:
+        return oscillatory_tail_sum(c, N + 1) / (math.pi * c)
     partial = 0.0
     if N > 0:
-        parts = []
-        for start in range(1, N + 1, _SUM_CHUNK):
-            k = np.arange(start, min(start + _SUM_CHUNK, N + 1), dtype=np.float64)
-            s = np.sin(0.5 * c * k)
-            parts.append(math.fsum(2.0 * s * s / (k * k)))
-        partial = math.fsum(parts)
+        k = np.arange(1, N + 1, dtype=np.float64)
+        s = np.sin(0.5 * c * k)
+        partial = math.fsum(2.0 * s * s / (k * k))
     return 0.5 - c / (4.0 * math.pi) - partial / (math.pi * c)
 
 

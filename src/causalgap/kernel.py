@@ -9,24 +9,32 @@ of width c.  This module provides the kernel itself, the sine integral used
 by its closed-form antiderivative, a self-contained adaptive quadrature, and
 the tail sums of the squared Fourier coefficients (1 - cos(k c)) / (pi k^2)
 that drive the digital closed forms.
+
+scipy.special is imported inside the functions that call it, so causal
+reports, coefficient tables and digital reports away from rho -> 0 never
+load it.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import polygamma, sici
 
 from .errors import BudgetExceeded
 
 TWO_PI = 2.0 * math.pi
+#: 2 pi - TWO_PI, so that TWO_PI + _TWO_PI_LO carries 2 pi to twice the precision
+_TWO_PI_LO = 2.4492935982947064e-16
 
 __all__ = [
     "TWO_PI",
+    "TAIL_SUM_MIN_INDEX",
     "BandpassInterval",
     "QuadratureConfig",
     "SeriesConfig",
@@ -34,6 +42,9 @@ __all__ = [
     "TailSumResult",
     "oscillatory_kernel",
     "sine_integral",
+    "sine_integral_complement",
+    "oscillatory_tail_integral",
+    "oscillatory_tail_sum",
     "integrate_adaptive",
     "coefficient_tail_sum",
     "BudgetExceeded",
@@ -153,9 +164,48 @@ def sine_integral(x: float) -> float:
     Odd by construction; absolute error well below 1e-12 over |x| <= 1e4
     (checked against independent quadrature in the test suite).
     """
+    from scipy.special import sici
+
     if x < 0.0:
         return -float(sici(-x)[0])
     return float(sici(x)[0])
+
+
+def sine_integral_complement(x: float) -> float:
+    """pi/2 - Si(x) for x >= 0, within about 2e-15 / max(1, x) absolute.
+
+    Below x = 4 it is pi/2 minus the sine integral.  Above, where pi/2 and
+    Si(x) agree to more and more digits, it is -Im E1(i x) (DLMF 6.5.3),
+    which decays like cos(x)/x without any cancellation.
+    """
+    from scipy.special import exp1, sici
+
+    if not x >= 0.0:
+        raise ValueError("argument must be nonnegative")
+    if x < 4.0:
+        return 0.5 * math.pi - float(sici(x)[0])
+    return -float(exp1(1j * x).imag)
+
+
+def oscillatory_tail_integral(c: float, T: float) -> float:
+    """integral over t >= T of (1 - cos(c t)) / t^2, for c > 0 and T >= 0.
+
+    pi times the kernel mass beyond T, in the form
+    2 sin^2(cT/2) / T + c (pi/2 - Si(cT)) (DLMF 6.2), whose terms stay of
+    the size of the result: the relative error is below about 1e-15 at
+    every cT, where c/2 - (1/2) integral_{-T}^{T} loses about cT ulps.  From
+    cT = 2^56 on the correction to 1/T lies below rounding and 1/T is
+    returned, which keeps cT from overflowing.  T = 0 gives pi c / 2.
+    """
+    if not c > 0.0:
+        raise ValueError("bandwidth c must be positive")
+    if T == 0.0:
+        return 0.5 * math.pi * c
+    x = c * T
+    if x >= 2.0**56:
+        return 1.0 / T
+    s = math.sin(0.5 * x)
+    return 2.0 * s * s / T + c * sine_integral_complement(x)
 
 
 # 15-point Kronrod extension of 7-point Gauss, positive abscissae.
@@ -313,6 +363,8 @@ def coefficient_tail_sum(
     stops once that bound reaches tail_bound_target.  Raises BudgetExceeded
     if max_terms direct terms cannot get the bound there.
     """
+    from scipy.special import polygamma
+
     if cfg is None:
         cfg = SeriesConfig()
     if not 0.0 < c < TWO_PI:
@@ -340,3 +392,127 @@ def coefficient_tail_sum(
 
     value = math.fsum(parts) + float(polygamma(1, last + 1)) / math.pi
     return TailSumResult(value, _remainder_bound(c, last), terms_used)
+
+
+#: B_2, B_4, ..., B_16
+_BERNOULLI_EVEN = (
+    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+    5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0,
+)
+#: smallest first index oscillatory_tail_sum accepts; its series are
+#: accurate to rounding from there on
+TAIL_SUM_MIN_INDEX = 256
+#: a * rho below which Euler-Maclaurin replaces the expansion of Phi
+_EXPANSION_MIN_ARG = 60.0
+_EXPANSION_MAX_TERMS = 100
+#: (-1)^j / j! for j = 1, 2, ...
+_SIGNED_INV_FACTORIAL = tuple(
+    (-1.0) ** j / math.factorial(j) for j in range(1, _EXPANSION_MAX_TERMS + 1)
+)
+
+
+def _trigamma(a: float) -> float:
+    """psi'(a) for a >= TAIL_SUM_MIN_INDEX, by its asymptotic series.
+
+    psi'(a) ~ 1/a + 1/(2 a^2) + sum_j B_2j / a^(2j+1) (DLMF 5.15.8),
+    cut after B_10: at a >= 256 the first omitted term is below 1e-29 of
+    the sum.
+    """
+    inv2 = 1.0 / (a * a)
+    power = inv2 / a
+    terms = [1.0 / a, 0.5 * inv2]
+    for bern in _BERNOULLI_EVEN[:5]:
+        terms.append(bern * power)
+        power *= inv2
+    return math.fsum(terms)
+
+
+def _lerch_cos_sum(rho: float, a: float) -> float:
+    """sum_{k >= a} cos(k rho) / k^2 for a * rho >= _EXPANSION_MIN_ARG.
+
+    The sum is Re[e^{i a rho} Phi(w, 2, a)] with w = e^{i rho}, and
+    Phi(w, 2, a) = integral_0^inf t e^{-a t} / (1 - w e^{-t}) dt
+    (DLMF 25.14.5).  Expanding 1 / (1 - w e^{-t}) = sum_m b_m t^m gives the
+    large-a series Phi ~ sum_m b_m (m+1)! / a^(m+2), whose coefficients
+    follow from (1 - w e^{-t}) sum_m b_m t^m = 1:
+    (1 - w) b_m = w sum_{j=1}^{m} b_{m-j} (-1)^j / j!.  The terms fall like
+    m! / (a rho)^m.  Summation stops when two consecutive terms are both
+    negligible, since at rho = pi every other coefficient vanishes.
+    """
+    half = math.sin(0.5 * rho)
+    b0 = 1.0 / complex(2.0 * half * half, -math.sin(rho))  # 1 / (1 - w)
+    ratio = cmath.rect(1.0, rho) * b0
+    newest_first = [b0]
+    total = b0
+    scale = 1.0
+    previous = abs(b0)
+    # the tail is about 1/a and the terms enter it divided by a^2
+    negligible = 2.0**-55 * a
+    for m in range(1, _EXPANSION_MAX_TERMS):
+        b_m = ratio * sum(map(operator.mul, newest_first, _SIGNED_INV_FACTORIAL))
+        newest_first.insert(0, b_m)
+        scale *= (m + 1) / a
+        term = b_m * scale
+        total += term
+        size = abs(term)
+        if size + previous <= negligible:
+            break
+        previous = size
+    else:
+        raise RuntimeError(f"Lerch expansion did not settle at a*rho = {a * rho!r}")
+    return (cmath.rect(1.0, a * rho) * total).real / (a * a)
+
+
+def _euler_maclaurin_tail(rho: float, a: float) -> float:
+    """sum_{k >= a} (1 - cos(k rho)) / k^2 for a * rho < _EXPANSION_MIN_ARG.
+
+    Euler-Maclaurin on g(k) = (1 - cos(rho k)) / k^2 (DLMF 2.10.1): the
+    integral from a (oscillatory_tail_integral), plus g(a)/2, minus
+    sum_j B_2j / (2j)! g^(2j-1)(a).  The derivatives come from Leibniz'
+    rule with u = 1 - cos(rho k), u^(n) = -rho^n cos(rho k + n pi/2), and
+    v = k^-2, v^(n) = (-1)^n (n+1)! k^-(n+2).  Here rho < 60/256, so eight
+    terms leave a remainder near 2 (rho / 2 pi)^16, far below rounding.
+    """
+    x = a * rho
+    half = math.sin(0.5 * x)
+    u0 = 2.0 * half * half
+    cos_x, sin_x = math.cos(x), math.sin(x)
+    top = 2 * len(_BERNOULLI_EVEN)
+    du = [u0]
+    dv = [1.0 / (a * a)]
+    rho_n = 1.0
+    for n in range(1, top):
+        rho_n *= rho
+        du.append(-rho_n * (cos_x, -sin_x, -cos_x, sin_x)[n % 4])
+        dv.append(-dv[-1] * (n + 1) / a)
+    parts = [oscillatory_tail_integral(rho, a), 0.5 * u0 * dv[0]]
+    for j, bern in enumerate(_BERNOULLI_EVEN, start=1):
+        p = 2 * j - 1
+        deriv = sum(math.comb(p, n) * du[n] * dv[p - n] for n in range(p + 1))
+        parts.append(-bern / math.factorial(2 * j) * deriv)
+    return math.fsum(parts)
+
+
+def oscillatory_tail_sum(c: float, first: int) -> float:
+    """sum over k >= first of (1 - cos(k c)) / k^2, at a cost independent of first.
+
+    c must lie in (0, 2 pi) and first must be at least TAIL_SUM_MIN_INDEX.
+    For integer k only rho = min(c, 2 pi - c) matters; 2 pi - c is taken
+    against a two-part 2 pi, so rho keeps full relative precision near
+    2 pi.  With a = first the sum is
+    psi'(a) - Re[e^{i a rho} Phi(e^{i rho}, 2, a)] (DLMF 25.14), psi' from
+    its asymptotic series and Phi from its large-a expansion.  Below
+    a * rho = 60 that expansion needs too many terms, and Euler-Maclaurin
+    on the summand is used instead.  The phase a * rho is rounded once;
+    its error of a few ulps of a * rho moves the sum by a few ulps, since
+    the oscillating part is only 1/(a rho) of it.
+    """
+    if not 0.0 < c < TWO_PI:
+        raise ValueError("bandwidth c must lie in (0, 2*pi)")
+    if first < TAIL_SUM_MIN_INDEX:
+        raise ValueError(f"first index must be at least {TAIL_SUM_MIN_INDEX}")
+    rho = c if c <= math.pi else (TWO_PI - c) + _TWO_PI_LO
+    a = float(first)
+    if a * rho < _EXPANSION_MIN_ARG:
+        return _euler_maclaurin_tail(rho, a)
+    return _trigamma(a) - _lerch_cos_sum(rho, a)

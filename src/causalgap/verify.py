@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analog, digital, operators
 from .errors import DomainError
-from .kernel import BandpassInterval, coefficient_tail_sum
+from .kernel import BandpassInterval, QuadratureConfig, coefficient_tail_sum
 from .oracle import analog_distance_oracle, digital_distance_oracle
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence
 
@@ -83,13 +83,14 @@ def _chk_delay_zero(seed: int) -> CheckResult:
 
 
 def _chk_quad_vs_si(seed: int) -> CheckResult:
+    # the quadrature route, asked for explicitly, against the closed forms
     worst = 0.0
     for c in (0.5, 1.0, math.pi, 6.0):
         band = BandpassInterval.analog(0.0, c)
         for T in (0.1, 1.0, 10.0):
             quad = analog.truncation_energy_quadrature(band, T)
             worst = max(worst, abs(quad.value - analog.truncation_energy_si(band, T)))
-            rep = analog.delayed_report(band, AnalogDelay(T))
+            rep = analog.delayed_report(band, AnalogDelay(T), QuadratureConfig())
             worst = max(
                 worst, abs(rep.distance - analog.delayed_distance_si(band, AnalogDelay(T)))
             )

@@ -1,0 +1,46 @@
+"""40-digit mpmath references for the delayed distances, used only by tests.
+
+Every float argument converts exactly, so the references are the distances
+of the very doubles the library receives.
+
+Analog: d^2 = c/2 - (c Si(cT) - 2 sin^2(cT/2) / T) / pi (DLMF 6.2), with
+the working precision raised by the digits that form loses to cancellation.
+Digital: d^2 = (zeta(2, N+1) - Re[e^{i(N+1)c} Phi(e^{ic}, 2, N+1)]) / (2 pi^2)
+(DLMF 25.11, 25.14).
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+
+DPS = 40
+
+
+def analog_distance(c: float, T: float) -> mpmath.mpf:
+    extra = max(0, int(math.log10(c * T))) if c * T > 1.0 else 0
+    with mpmath.workdps(DPS + extra):
+        c = mpmath.mpf(c)
+        T = mpmath.mpf(T)
+        x = c * T
+        mass = (c * mpmath.si(x) - 2 * mpmath.sin(x / 2) ** 2 / T) / mpmath.pi
+        return +mpmath.sqrt(c / 2 - mass)
+
+
+def digital_tail(c: float, N: int) -> mpmath.mpf:
+    """sum_{k > N} (1 - cos kc) / k^2."""
+    with mpmath.workdps(DPS):
+        c = mpmath.mpf(c)
+        phi = mpmath.lerchphi(mpmath.expj(c), 2, N + 1)
+        return mpmath.zeta(2, N + 1) - mpmath.re(mpmath.expj((N + 1) * c) * phi)
+
+
+def digital_distance(c: float, N: int) -> mpmath.mpf:
+    with mpmath.workdps(DPS):
+        return mpmath.sqrt(digital_tail(c, N) / (2 * mpmath.pi**2))
+
+
+def rel_err(value: float, ref: mpmath.mpf) -> float:
+    with mpmath.workdps(DPS):
+        return float(abs(mpmath.mpf(value) - ref) / abs(ref))

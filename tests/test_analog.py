@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import mpref
 
 from causalgap import (
     AnalogDelay,
@@ -148,17 +149,35 @@ class TestDelayedReport:
         band = BandpassInterval.analog(0.0, 2.0)
         rep = delayed_report(band, AnalogDelay(1.0))
         assert rep.subspace == "Delayed"
-        assert rep.method == "Quadrature"
+        assert rep.method == "ClosedForm"
         assert rep.delay == 1.0
         assert rep.converged
-        assert rep.error_estimate >= 0.0
+        assert rep.error_estimate == 0.0
         assert rep.consistency_error() <= 1e-12 * rep.kernel_norm
+        assert mpref.rel_err(rep.distance, mpref.analog_distance(2.0, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1.75, 2.0, 7.0, 1e3])
+    def test_closed_form_relative_error_at_every_lookahead(self, c):
+        for cT in (1e-3, 0.5, 3.99, 4.0, 4.01, 10.0, 1e2, 1e4, 1e6, 2e6, 1e9, 1e12, 1e20):
+            T = cT / c
+            rep = delayed_report(BandpassInterval.analog(0.0, c), AnalogDelay(T))
+            assert rep.method == "ClosedForm"
+            assert mpref.rel_err(rep.distance, mpref.analog_distance(c, T)) <= 1e-14
+
+    def test_quadrature_route_on_request(self):
+        band = BandpassInterval.analog(0.0, 2.0)
+        rep = delayed_report(band, AnalogDelay(1.0), QuadratureConfig())
+        assert rep.method == "Quadrature"
+        assert rep.converged
+        assert rep.error_estimate > 0.0
+        closed = delayed_report(band, AnalogDelay(1.0))
+        assert abs(rep.distance - closed.distance) <= rep.error_estimate + 1e-12
 
     def test_agrees_with_closed_form_route(self):
         for c in (0.5, math.pi, 6.0):
             band = BandpassInterval.analog(0.0, c)
             for T in (0.1, 1.0, 10.0):
-                rep = delayed_report(band, AnalogDelay(T))
+                rep = delayed_report(band, AnalogDelay(T), QuadratureConfig())
                 si = delayed_distance_si(band, AnalogDelay(T))
                 assert abs(rep.distance - si) <= 1e-8
 
@@ -197,7 +216,7 @@ class TestDelayedReport:
     def test_error_estimate_covers_route_disagreement(self):
         band = BandpassInterval.analog(0.0, 6.0)
         for T in (0.3, 2.0):
-            rep = delayed_report(band, AnalogDelay(T))
+            rep = delayed_report(band, AnalogDelay(T), QuadratureConfig())
             si = delayed_distance_si(band, AnalogDelay(T))
             assert abs(rep.distance - si) <= rep.error_estimate + 1e-10
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import mpref
 
 from causalgap import (
     AnalogDelay,
@@ -115,12 +116,44 @@ class TestReportJson:
         assert code == 0
         data = json.loads(out)
         assert data["subspace"] == "Delayed"
-        assert data["method"] == "Quadrature"
+        assert data["method"] == "ClosedForm"
         assert data["delay"] == 1.0
         rep = delayed_report(BandpassInterval.analog(0.0, 2.0), AnalogDelay(1.0))
         # 17 significant digits parse back to the exact double
         assert data["distance"] == rep.distance
-        assert data["error_estimate"] == rep.error_estimate
+        assert data["error_estimate"] == rep.error_estimate == 0.0
+        assert mpref.rel_err(data["distance"], mpref.analog_distance(2.0, 1.0)) <= 1e-14
+
+    def test_quadrature_options_select_the_quadrature_route(self, capsys):
+        for option in (("--quad-tol", "1e-10"), ("--max-subdivisions", "65536")):
+            code, out, _ = run_main(
+                capsys, "analog", "--a", "0", "--b", "2", "--delay", "1", *option
+            )
+            assert code == 0
+            data = json.loads(out)
+            assert data["method"] == "Quadrature"
+            assert data["converged"] is True
+            assert 0.0 < data["error_estimate"] <= 1e-8
+            assert mpref.rel_err(data["distance"], mpref.analog_distance(2.0, 1.0)) <= 1e-9
+
+    def test_huge_band_delay_report(self, capsys):
+        # d(T)^2 -> 1/(pi T) as the bandwidth grows; the cancelling form lost
+        # every digit here and printed distance 0 with an infinite error
+        code, out, _ = run_main(capsys, "analog", "--a", "0", "--b", "1e300", "--delay", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["distance"] * math.sqrt(math.pi) - 1.0) <= 1e-12
+        assert data["converged"] is True
+        assert math.isfinite(data["error_estimate"])
+
+    def test_far_lookahead_digital_report_returns_at_once(self, capsys):
+        code, out, _ = run_main(
+            capsys, "digital", "--a", "1", "--b", "4", "--delay-samples", "100000000000"
+        )
+        assert code == 0
+        data = json.loads(out)
+        ref = mpref.digital_distance(3.0, 10**11)
+        assert mpref.rel_err(data["distance"], ref) <= 1e-14
 
     def test_zero_delay_output_equals_causal_output(self, capsys):
         _, with_delay, _ = run_main(capsys, "analog", "--a", "0", "--b", "2", "--delay", "0")
@@ -242,7 +275,11 @@ class TestCsvOutputs:
         assert first[4] == "ClosedForm"
         dists = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(later <= earlier for earlier, later in zip(dists, dists[1:]))
-        assert lines[2].split(",")[4] == "Quadrature"
+        for line in lines[2:]:
+            cells = line.split(",")
+            assert cells[4] == "ClosedForm"
+            ref = mpref.analog_distance(2.0, float(cells[0]))
+            assert mpref.rel_err(float(cells[1]), ref) <= 1e-14
 
     def test_sweep_analog_bandwidth_causal(self, capsys):
         code, out, _ = run_main(
@@ -357,6 +394,24 @@ class TestVerifyCommand:
         monkeypatch.setenv("CAUSALGAP_SEED", "pi")
         code, _, err = run_main(capsys, "verify", "--suite", "operators")
         assert code == 2
+
+
+class TestLazyImports:
+    def test_causal_and_digital_commands_leave_scipy_special_unloaded(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from causalgap import cli\n"
+            "for argv in (['analog', '--a', '0', '--b', '2'],\n"
+            "             ['digital', '--a', '1', '--b', '2.5', '--delay-samples', '1000'],\n"
+            "             ['impulse', '--mode', 'digital', '--a', '2', '--b', '4',\n"
+            "              '--window', '8']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

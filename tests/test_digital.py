@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpref
 
 from causalgap import (
     BandpassInterval,
@@ -21,7 +22,8 @@ from causalgap import (
     delayed_report_digital,
     fourier_coefficient,
 )
-from causalgap.digital import _report_from_bracket
+from causalgap.kernel import oscillatory_tail_sum
+from causalgap.digital import DIRECT_SUM_MAX_N, _bracket, _report_from_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,6 +201,64 @@ class TestDelayedReportDigital:
                 rep = delayed_report_digital(band, DigitalDelay(N))
                 tail = coefficient_tail_sum(band.bandwidth, N + 1)
                 assert abs(TWO_PI * rep.distance**2 - tail.value) <= 1e-9
+
+
+def _centred_band(c: float) -> BandpassInterval:
+    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
+
+
+class TestFarLookahead:
+    """Reports beyond DIRECT_SUM_MAX_N come from the constant-cost tail."""
+
+    @pytest.mark.parametrize("N", [10**11, 10**15])
+    @pytest.mark.parametrize("c", [1e-6, 1.0, math.pi, 2.25, TWO_PI - 1e-6])
+    def test_against_lerch_reference(self, c, N):
+        band = _centred_band(c)
+        rep = delayed_report_digital(band, DigitalDelay(N))
+        assert rep.method == "ClosedForm"
+        ref = mpref.digital_distance(band.bandwidth, N)
+        assert mpref.rel_err(rep.distance, ref) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "c, N",
+        [
+            (2.25, 301),  # expansion just above the direct sum
+            (math.pi, 301),  # every other expansion coefficient vanishes
+            (math.pi - 1e-9, 10**4),
+            (0.1, 301),  # a rho = 30: Euler-Maclaurin
+            (1e-6, 1000),  # a rho = 1e-3: Euler-Maclaurin
+            (1e-6, 10**8),  # a rho = 100: 1 - e^{i rho} must not cancel
+            (TWO_PI - 1e-6, 10**6),  # rho = 2 pi - c near its double floor
+            (0.2, 300 + 1),  # a rho = 60.2, the longest expansion
+            (0.199, 301),  # a rho = 59.9, Euler-Maclaurin at its widest rho
+        ],
+    )
+    def test_regimes_against_lerch_reference(self, c, N):
+        band = _centred_band(c)
+        rep = delayed_report_digital(band, DigitalDelay(N))
+        ref = mpref.digital_distance(band.bandwidth, N)
+        assert mpref.rel_err(rep.distance, ref) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 2.25, math.pi, 5.0])
+    def test_direct_sum_and_expansion_meet_at_the_switch(self, c):
+        band = _centred_band(c)
+        N = DIRECT_SUM_MAX_N
+        direct = _bracket(band, N)
+        expansion = oscillatory_tail_sum(band.bandwidth, N + 1) / (math.pi * band.bandwidth)
+        # the direct sum cancels against 1/2 - c/(4 pi) and loses ~N ulps
+        assert abs(direct - expansion) <= 1e-12 * expansion
+        angles = [
+            delayed_report_digital(band, DigitalDelay(n)).angle for n in (N - 1, N, N + 1, N + 2)
+        ]
+        assert all(later <= earlier for earlier, later in zip(angles, angles[1:]))
+
+    def test_small_lookahead_stays_on_the_direct_sum(self):
+        band = _centred_band(2.0)
+        N = DIRECT_SUM_MAX_N
+        k = np.arange(1, N + 1, dtype=np.float64)
+        s = np.sin(k)
+        partial = math.fsum(2.0 * s * s / (k * k))
+        assert _bracket(band, N) == 0.5 - 2.0 / (4.0 * math.pi) - partial / (math.pi * 2.0)
 
 
 class TestBracketClamping:

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
+import mpref
 
 from causalgap import (
     BandpassInterval,
@@ -21,6 +23,12 @@ from causalgap import (
     integrate_adaptive,
     oscillatory_kernel,
     sine_integral,
+)
+from causalgap.kernel import (
+    TAIL_SUM_MIN_INDEX,
+    oscillatory_tail_integral,
+    oscillatory_tail_sum,
+    sine_integral_complement,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -258,3 +266,63 @@ class TestCoefficientTailSum:
         b = coefficient_tail_sum(c, m + 1, cfg)
         assert b.value <= a.value + 2e-9
         assert a.value >= -1e-12
+
+
+class TestSineIntegralComplement:
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 3.99, 4.0, 4.01, 10.0, 1e6, 1e12, 1e300])
+    def test_absolute_error_against_mpmath(self, x):
+        with mpmath.workdps(40):
+            ref = -mpmath.im(mpmath.e1(mpmath.mpc(0, x))) if x else mpmath.pi / 2
+            err = float(abs(mpmath.mpf(sine_integral_complement(x)) - ref))
+        # absolute error, scaled by the 1/x envelope the function decays in
+        assert err * max(1.0, x) <= 2e-15
+
+    def test_rejects_negative_argument(self):
+        with pytest.raises(ValueError):
+            sine_integral_complement(-1.0)
+
+
+class TestOscillatoryTailIntegral:
+    def test_zero_start_is_half_the_energy(self):
+        assert oscillatory_tail_integral(2.0, 0.0) == math.pi
+
+    def test_matches_sine_integral_mass(self):
+        # pi * (c/2 - (1/2) mass over [-T, T]) = tail beyond T
+        for c, T in ((0.5, 0.1), (2.0, 1.0), (6.0, 10.0)):
+            s = math.sin(0.5 * c * T)
+            mass = 2.0 * (c * sine_integral(c * T) - 2.0 * s * s / T) / math.pi
+            assert oscillatory_tail_integral(c, T) == pytest.approx(
+                math.pi * (0.5 * c - 0.5 * mass), rel=1e-12
+            )
+
+    def test_far_start_tends_to_one_over_t(self):
+        # c T beyond 2^56: the oscillating correction is below rounding
+        assert oscillatory_tail_integral(1e300, 1.0) == 1.0
+        assert oscillatory_tail_integral(1e300, 1e300) == 1e-300
+        d = math.sqrt(oscillatory_tail_integral(1e10, 1e7) / math.pi)
+        assert mpref.rel_err(d, mpref.analog_distance(1e10, 1e7)) <= 1e-14
+
+
+class TestOscillatoryTailSum:
+    def test_rejects_bad_domain(self):
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(0.0, TAIL_SUM_MIN_INDEX)
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(TWO_PI, TAIL_SUM_MIN_INDEX)
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(1.0, TAIL_SUM_MIN_INDEX - 1)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 0.199, 0.2, 1.0, math.pi, 4.0, TWO_PI - 1e-3])
+    @pytest.mark.parametrize("first", [TAIL_SUM_MIN_INDEX, 301, 5000, 10**8])
+    def test_against_lerch_reference(self, c, first):
+        # a few ulps: below a rho = 60 the error of pi/2 - Si(a rho) carries over
+        ref = mpref.digital_tail(c, first - 1)
+        assert mpref.rel_err(oscillatory_tail_sum(c, first), ref) <= 1e-15
+
+    def test_against_literal_partial_sum(self):
+        # a million literal terms plus the 1/k^2 comparison bound on the rest
+        for c, first in ((1.0, 300), (math.pi, 1000), (0.05, 400)):
+            k = np.arange(first, first + 10**6, dtype=np.float64)
+            dumb = math.fsum((1.0 - np.cos(c * k)) / (k * k))
+            slack = 2.0 / (first + 10**6 - 1)
+            assert abs(oscillatory_tail_sum(c, first) - dumb) <= slack
