@@ -10,7 +10,6 @@ to validate every closed form.
 """
 
 from .errors import (
-    BudgetExceeded,
     DomainError,
     GridMismatch,
     NegativeRadicand,
@@ -22,9 +21,6 @@ from .kernel import (
     BandpassInterval,
     QuadratureConfig,
     QuadratureResult,
-    SeriesConfig,
-    TailSumResult,
-    coefficient_tail_sum,
     integrate_adaptive,
     oscillatory_kernel,
     sine_integral,
@@ -77,7 +73,6 @@ __all__ = [
     "AnalogImpulseResponse",
     "ApproximationReport",
     "BandpassInterval",
-    "BudgetExceeded",
     "DigitalDelay",
     "DigitalSequence",
     "DomainError",
@@ -93,8 +88,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "SampledSignal",
-    "SeriesConfig",
-    "TailSumResult",
     "TransferFunctionSamples",
     "ZeroKernel",
     "analog_distance_oracle",
@@ -102,7 +95,6 @@ __all__ = [
     "c0_ratio_angle",
     "causal_report",
     "causal_report_digital",
-    "coefficient_tail_sum",
     "convolve_analog",
     "convolve_digital",
     "delayed_distance_si",

@@ -1,9 +1,10 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters, 3 a quadrature asked for with --quad-tol or --max-subdivisions
-hit its subdivision budget (the report is still printed, with
-converged=false), 4 unwritable output path.
+parameters (also a table or sweep of more than _MAX_ROWS rows, or a
+look-ahead beyond _MAX_DELAY_SAMPLES), 3 a quadrature asked for with
+--quad-tol or --max-subdivisions hit its subdivision budget (the report is
+still printed, with converged=false), 4 unwritable output path.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given
@@ -24,9 +25,15 @@ from . import analog, digital, verify
 from .errors import DomainError
 from .kernel import TWO_PI, BandpassInterval, QuadratureConfig
 from .operators import truncate_to_delay, truncate_to_delay_analog
-from .signals import AnalogDelay, DigitalDelay, DigitalSequence
+from .signals import AnalogDelay, DigitalDelay
 
 __all__ = ["main"]
+
+#: most rows a table or sweep may print, checked before anything is allocated
+_MAX_ROWS = 10**6
+#: largest digital look-ahead: the tail sums start at N + 1, which must stay
+#: exact in double precision
+_MAX_DELAY_SAMPLES = 2**53 - 1
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -131,24 +138,18 @@ def _quad_cfg(args) -> QuadratureConfig | None:
     return QuadratureConfig(**kwargs)
 
 
-def _analog_band(a: float | None, b: float | None) -> BandpassInterval | None:
+def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | None:
+    """The band [a, b], or None when an edge is missing or the band is invalid."""
     if a is None or b is None:
         return None
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    try:
+        return BandpassInterval(a, b, mode)
+    except ValueError:
         return None
-    return BandpassInterval.analog(a, b)
-
-
-def _digital_band(a: float | None, b: float | None) -> BandpassInterval | None:
-    if a is None or b is None:
-        return None
-    if not (0.0 < a < b < TWO_PI):
-        return None
-    return BandpassInterval.digital(a, b)
 
 
 def cmd_analog(args) -> int:
-    band = _analog_band(args.a, args.b)
+    band = _band("analog", args.a, args.b)
     if band is None:
         return _fail(f"invalid analog band [{args.a!r}, {args.b!r}]: need a < b", 2)
     try:
@@ -166,14 +167,14 @@ def cmd_analog(args) -> int:
 
 
 def cmd_digital(args) -> int:
-    band = _digital_band(args.a, args.b)
+    band = _band("digital", args.a, args.b)
     if band is None:
         return _fail(
             f"invalid digital band [{args.a!r}, {args.b!r}]: need 0 < a < b < 2*pi", 2
         )
     if args.coeffs is not None:
-        if args.coeffs < 0:
-            return _fail("coefficient window must be nonnegative", 2)
+        if not 0 <= args.coeffs < _MAX_ROWS // 2:
+            return _fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})", 2)
         table = digital.FourierCoefficientTable.build(band, -args.coeffs, args.coeffs)
         lines = ["k,re,im"]
         for k, value in zip(table.indices(), table.values):
@@ -183,8 +184,8 @@ def cmd_digital(args) -> int:
     if args.delay_samples is None:
         rep = digital.causal_report_digital(band)
     else:
-        if args.delay_samples < 0:
-            return _fail("delay-samples must be a nonnegative integer", 2)
+        if not 0 <= args.delay_samples <= _MAX_DELAY_SAMPLES:
+            return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
         rep = digital.delayed_report_digital(band, DigitalDelay(args.delay_samples))
     _print_report("digital", band, rep, args.format)
     return 0
@@ -204,7 +205,7 @@ def _sweep_rows(args, params) -> list | int:
                 else:
                     rep = analog.delayed_report(band, AnalogDelay(args.delay))
             else:
-                band = _analog_band(args.a, args.b)
+                band = _band("analog", args.a, args.b)
                 if band is None:
                     return _fail("delay sweep needs a valid --a/--b analog band", 2)
                 if p < 0.0:
@@ -222,12 +223,14 @@ def _sweep_rows(args, params) -> list | int:
                         band, DigitalDelay(args.delay_samples)
                     )
             else:
-                band = _digital_band(args.a, args.b)
+                band = _band("digital", args.a, args.b)
                 if band is None:
                     return _fail("delay sweep needs a valid --a/--b digital band", 2)
-                if abs(p - round(p)) > 1e-9 or p < 0.0:
+                if abs(p - round(p)) > 1e-9 or not 0.0 <= p <= _MAX_DELAY_SAMPLES:
                     return _fail(
-                        "digital delay sweep values must be nonnegative integers", 2
+                        "digital delay sweep values must be integers in "
+                        "[0, 2**53 - 1]",
+                        2,
                     )
                 rep = digital.delayed_report_digital(band, DigitalDelay(int(round(p))))
         rows.append((p, rep))
@@ -238,12 +241,13 @@ def cmd_sweep(args) -> int:
     lo, hi = args.range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         return _fail("range must satisfy LO < HI", 2)
-    if args.steps < 2:
-        return _fail("need at least two steps", 2)
+    if not 2 <= args.steps <= _MAX_ROWS:
+        return _fail(f"need between 2 and {_MAX_ROWS} steps", 2)
     if args.delay is not None and args.delay < 0.0:
         return _fail("delay must be nonnegative", 2)
-    if args.delay_samples is not None and args.delay_samples < 0:
-        return _fail("delay-samples must be nonnegative", 2)
+    samples = args.delay_samples
+    if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
+        return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
     rows = _sweep_rows(args, np.linspace(lo, hi, args.steps))
     if isinstance(rows, int):
         return rows
@@ -258,14 +262,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_impulse(args) -> int:
     if args.mode == "analog":
-        band = _analog_band(args.a, args.b)
+        band = _band("analog", args.a, args.b)
         if band is None:
             return _fail("invalid analog band: need a < b", 2)
         if args.t_max is None or args.dt is None:
             return _fail("analog impulse needs --t-max and --dt", 2)
         if not (args.t_max > 0.0 and args.dt > 0.0):
             return _fail("need --t-max > 0 and --dt > 0", 2)
-        n = int(round(2.0 * args.t_max / args.dt)) + 1
+        steps = 2.0 * args.t_max / args.dt
+        if not steps < _MAX_ROWS:
+            return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
+        n = int(round(steps)) + 1
         sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
         if args.delay is not None:
             if args.delay < 0.0:
@@ -274,14 +281,13 @@ def cmd_impulse(args) -> int:
         axis = sig.times()
         values = sig.values
     else:
-        band = _digital_band(args.a, args.b)
+        band = _band("digital", args.a, args.b)
         if band is None:
             return _fail("invalid digital band: need 0 < a < b < 2*pi", 2)
-        if args.window is None or args.window < 1:
-            return _fail("digital impulse needs --window >= 1", 2)
+        if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:
+            return _fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})", 2)
         K = args.window
-        table = digital.FourierCoefficientTable.build(band, -K, K)
-        seq = DigitalSequence(-K, table.values[::-1].copy())
+        seq = digital.best_causal_coefficients(band, DigitalDelay(K), K)
         if args.delay_samples is not None:
             if args.delay_samples < 0:
                 return _fail("delay-samples must be nonnegative", 2)

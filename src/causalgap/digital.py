@@ -4,8 +4,9 @@ The ideal band [a, b] inside (0, 2 pi) acts by multiplication on the
 frequency side; its convolution kernel is the Fourier coefficient sequence
 c_k of the indicator.  Keeping only the coefficients with index >= -N is
 the best approximation among filters that look ahead at most N taps, so the
-squared distance is the tail energy sum_{k > N} |c_k|^2.  Everything here
-reduces to partial sums of (1 - cos(k c)) / (pi k^2) and their tails.
+squared distance is the tail energy sum_{k > N} |c_k|^2.  For N = 0 it has
+the closed form (b - a)(2 pi - (b - a)) / (8 pi^2); for N >= 1 it is
+kernel.oscillatory_tail_sum(c, N + 1) / (2 pi^2), one route at every N.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .analog import ApproximationReport
 from .errors import DomainError, NegativeRadicand
-from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_sum
+from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
 from .signals import DigitalDelay, DigitalSequence
 
 __all__ = [
@@ -103,34 +104,22 @@ class FourierCoefficientTable:
         return self.band.bandwidth / TWO_PI - self.energy()
 
 
-#: look-ahead up to which the tail is a direct partial sum; above it the
-#: constant-cost expansion of kernel.oscillatory_tail_sum is cheaper
-DIRECT_SUM_MAX_N = 300
-
-
 def _bracket(band: BandpassInterval, N: int) -> float:
     """Normalized tail fraction sin^2(angle) after N taps of look-ahead.
 
     bracket = (2 pi / c) * sum_{k > N} |c_k|^2
             = (1 / (pi c)) sum_{k > N} (1 - cos(k c)) / k^2.
 
-    Up to N = DIRECT_SUM_MAX_N it is
-    1/2 - c/(4 pi) - (1 / (pi c)) sum_{k=1}^{N} (1 - cos(k c)) / k^2, with
-    the half-angle form of 1 - cos and exact (fsum) accumulation, so
-    adjacent N give consistently rounded values and the empty sum at N = 0
-    is literally zero.  Above it the tail itself comes from
-    oscillatory_tail_sum, at a cost and a relative error that do not grow
-    with N.
+    N = 0 is the causal closed form 1/2 - c/(4 pi), written rho/(4 pi) for
+    c > pi so it keeps its relative precision as c approaches 2 pi; every
+    N >= 1 takes the tail from oscillatory_tail_sum.
     """
     c = band.bandwidth
-    if N > DIRECT_SUM_MAX_N:
-        return oscillatory_tail_sum(c, N + 1) / (math.pi * c)
-    partial = 0.0
     if N > 0:
-        k = np.arange(1, N + 1, dtype=np.float64)
-        s = np.sin(0.5 * c * k)
-        partial = math.fsum(2.0 * s * s / (k * k))
-    return 0.5 - c / (4.0 * math.pi) - partial / (math.pi * c)
+        return oscillatory_tail_sum(c, N + 1) / (math.pi * c)
+    if c <= math.pi:
+        return 0.5 - c / (4.0 * math.pi)
+    return _fold_bandwidth(c) / (4.0 * math.pi)
 
 
 def _report_from_bracket(
@@ -141,9 +130,9 @@ def _report_from_bracket(
 ) -> ApproximationReport:
     """Turn the tail fraction into a report, policing the radicand.
 
-    bracket is sin^2 of the angle.  Values in (-1e-12, 0) are rounding noise
-    from the closed-form cancellation and clamp to zero; anything at or
-    below -1e-12 is mathematically impossible and raises NegativeRadicand.
+    bracket is sin^2 of the angle.  Values in (-1e-12, 0) would be rounding
+    noise and clamp to zero; anything at or below -1e-12 is mathematically
+    impossible and raises NegativeRadicand.
     """
     if bracket < 0.0:
         if bracket <= -1e-12:

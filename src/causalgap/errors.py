@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class BudgetExceeded(RuntimeError):
-    """A series summation hit its term budget before reaching its target bound."""
-
-
 class NonRealInput(ValueError):
     """Transfer-function samples carry an imaginary part beyond tolerance."""
 

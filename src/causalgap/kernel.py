@@ -7,8 +7,8 @@ Everything downstream reduces to integrals or series over one even kernel,
 which is the squared magnitude of the ideal band impulse response for a band
 of width c.  This module provides the kernel itself, the sine integral used
 by its closed-form antiderivative, a self-contained adaptive quadrature, and
-the tail sums of the squared Fourier coefficients (1 - cos(k c)) / (pi k^2)
-that drive the digital closed forms.
+oscillatory_tail_sum, the one route to the tail sums of the squared Fourier
+coefficients (1 - cos(k c)) / (pi k^2) behind every digital distance.
 
 scipy.special is imported inside the functions that call it, so causal
 reports, coefficient tables and digital reports away from rho -> 0 never
@@ -26,28 +26,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded
-
 TWO_PI = 2.0 * math.pi
 #: 2 pi - TWO_PI, so that TWO_PI + _TWO_PI_LO carries 2 pi to twice the precision
 _TWO_PI_LO = 2.4492935982947064e-16
 
 __all__ = [
     "TWO_PI",
-    "TAIL_SUM_MIN_INDEX",
     "BandpassInterval",
     "QuadratureConfig",
-    "SeriesConfig",
     "QuadratureResult",
-    "TailSumResult",
     "oscillatory_kernel",
     "sine_integral",
     "sine_integral_complement",
     "oscillatory_tail_integral",
     "oscillatory_tail_sum",
     "integrate_adaptive",
-    "coefficient_tail_sum",
-    "BudgetExceeded",
 ]
 
 
@@ -107,18 +100,6 @@ class QuadratureConfig:
 
 
 @dataclass(frozen=True)
-class SeriesConfig:
-    tail_bound_target: float = 1e-12
-    max_terms: int = 10**7
-
-    def __post_init__(self) -> None:
-        if self.tail_bound_target <= 0:
-            raise ValueError("tail_bound_target must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Value plus an honest error estimate.
 
@@ -130,15 +111,6 @@ class QuadratureResult:
     error_estimate: float
     converged: bool
     subdivisions: int
-
-
-@dataclass(frozen=True)
-class TailSumResult:
-    """Partial series value plus the analytic bound on what was left out."""
-
-    value: float
-    tail_bound: float
-    terms_used: int
 
 
 def oscillatory_kernel(c: float, t: float) -> float:
@@ -327,81 +299,14 @@ def integrate_adaptive(
             since_sync = 0
 
 
-_CHUNK_START = 1 << 16
-_CHUNK_CAP = 1 << 22
-
-
-def _remainder_bound(c: float, last_index: int) -> float:
-    """Bound on |sum_{k > last_index} (1 - cos(k c)) / (pi k^2)| after the
-    monotone part has been added back exactly.
-
-    Only the oscillatory piece -cos(k c)/(pi k^2) is unknown; summation by
-    parts against the bounded cosine partial sums gives
-    1 / (pi (K+1)^2 sin(c/2)), and the crude comparison with sum 1/(pi k^2)
-    gives 1 / (pi K).  The smaller of the two is used.
-    """
-    sin_half = math.sin(0.5 * c)
-    crude = 1.0 / (math.pi * last_index) if last_index > 0 else math.inf
-    if sin_half <= 0.0:
-        return crude
-    sharp = 1.0 / (math.pi * (last_index + 1) ** 2 * sin_half)
-    return min(crude, sharp)
-
-
-def coefficient_tail_sum(
-    c: float,
-    from_index: int,
-    cfg: SeriesConfig | None = None,
-) -> TailSumResult:
-    """Sum of (1 - cos(k c)) / (pi k^2) over k >= from_index.
-
-    These terms are 2 pi |c_k|^2 for the Fourier coefficients of the band
-    indicator of width c, so the sum is the tail energy behind the digital
-    distance formulas.  Terms are summed directly up to an index K, the exact
-    monotone remainder sum_{k>K} 1/(pi k^2) = trigamma(K+1)/pi is added back,
-    and the leftover oscillatory remainder is bounded analytically; summation
-    stops once that bound reaches tail_bound_target.  Raises BudgetExceeded
-    if max_terms direct terms cannot get the bound there.
-    """
-    from scipy.special import polygamma
-
-    if cfg is None:
-        cfg = SeriesConfig()
-    if not 0.0 < c < TWO_PI:
-        raise ValueError("bandwidth c must lie in (0, 2*pi)")
-    if from_index < 1:
-        raise ValueError("from_index must be at least 1")
-
-    last = from_index - 1
-    parts: list[float] = []
-    terms_used = 0
-    chunk = _CHUNK_START
-    while _remainder_bound(c, last) > cfg.tail_bound_target:
-        if terms_used >= cfg.max_terms:
-            raise BudgetExceeded(
-                f"tail bound {_remainder_bound(c, last):.3e} still above target "
-                f"{cfg.tail_bound_target:.3e} after {terms_used} terms"
-            )
-        take = min(chunk, cfg.max_terms - terms_used)
-        k = np.arange(last + 1, last + take + 1, dtype=np.float64)
-        s = np.sin(0.5 * c * k)
-        parts.append(float(np.sum(2.0 * s * s / (k * k * math.pi))))
-        terms_used += take
-        last += take
-        chunk = min(chunk * 2, _CHUNK_CAP)
-
-    value = math.fsum(parts) + float(polygamma(1, last + 1)) / math.pi
-    return TailSumResult(value, _remainder_bound(c, last), terms_used)
-
-
 #: B_2, B_4, ..., B_16
 _BERNOULLI_EVEN = (
     1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
     5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0,
 )
-#: smallest first index oscillatory_tail_sum accepts; its series are
-#: accurate to rounding from there on
-TAIL_SUM_MIN_INDEX = 256
+#: first index of the series in oscillatory_tail_sum, which are accurate to
+#: rounding from there on; smaller indices are summed term by term
+_SERIES_MIN_INDEX = 256
 #: a * rho below which Euler-Maclaurin replaces the expansion of Phi
 _EXPANSION_MIN_ARG = 60.0
 _EXPANSION_MAX_TERMS = 100
@@ -412,7 +317,7 @@ _SIGNED_INV_FACTORIAL = tuple(
 
 
 def _trigamma(a: float) -> float:
-    """psi'(a) for a >= TAIL_SUM_MIN_INDEX, by its asymptotic series.
+    """psi'(a) for a >= _SERIES_MIN_INDEX, by its asymptotic series.
 
     psi'(a) ~ 1/a + 1/(2 a^2) + sum_j B_2j / a^(2j+1) (DLMF 5.15.8),
     cut after B_10: at a >= 256 the first omitted term is below 1e-29 of
@@ -493,26 +398,43 @@ def _euler_maclaurin_tail(rho: float, a: float) -> float:
     return math.fsum(parts)
 
 
+def _fold_bandwidth(c: float) -> float:
+    """rho = min(c, 2 pi - c), the width that 1 - cos(k c) sees for integer k.
+
+    2 pi - c is taken against a two-part 2 pi, so rho keeps full relative
+    precision as c approaches 2 pi.
+    """
+    return c if c <= math.pi else (TWO_PI - c) + _TWO_PI_LO
+
+
 def oscillatory_tail_sum(c: float, first: int) -> float:
     """sum over k >= first of (1 - cos(k c)) / k^2, at a cost independent of first.
 
-    c must lie in (0, 2 pi) and first must be at least TAIL_SUM_MIN_INDEX.
-    For integer k only rho = min(c, 2 pi - c) matters; 2 pi - c is taken
-    against a two-part 2 pi, so rho keeps full relative precision near
-    2 pi.  With a = first the sum is
+    c must lie in (0, 2 pi) and first in [1, 2^53], beyond which the index
+    is no longer exact in double precision.  Only rho = _fold_bandwidth(c)
+    enters.  From a = max(first, 256) on the sum is
     psi'(a) - Re[e^{i a rho} Phi(e^{i rho}, 2, a)] (DLMF 25.14), psi' from
     its asymptotic series and Phi from its large-a expansion.  Below
     a * rho = 60 that expansion needs too many terms, and Euler-Maclaurin
-    on the summand is used instead.  The phase a * rho is rounded once;
-    its error of a few ulps of a * rho moves the sum by a few ulps, since
-    the oscillating part is only 1/(a rho) of it.
+    on the summand is used instead.  The phase a * rho is rounded once; its
+    error of a few ulps of a * rho moves the sum by a few ulps, since the
+    oscillating part is only 1/(a rho) of it.  A first below 256 adds the
+    head terms 2 sin^2(k rho / 2) / k^2, first <= k < 256, in one exact
+    sum; all of them are nonnegative, so nothing cancels.
     """
     if not 0.0 < c < TWO_PI:
         raise ValueError("bandwidth c must lie in (0, 2*pi)")
-    if first < TAIL_SUM_MIN_INDEX:
-        raise ValueError(f"first index must be at least {TAIL_SUM_MIN_INDEX}")
-    rho = c if c <= math.pi else (TWO_PI - c) + _TWO_PI_LO
-    a = float(first)
+    if not 1 <= first <= 2**53:
+        raise ValueError("first index must lie in [1, 2**53]")
+    rho = _fold_bandwidth(c)
+    a = float(max(first, _SERIES_MIN_INDEX))
     if a * rho < _EXPANSION_MIN_ARG:
-        return _euler_maclaurin_tail(rho, a)
-    return _trigamma(a) - _lerch_cos_sum(rho, a)
+        tail = _euler_maclaurin_tail(rho, a)
+    else:
+        tail = _trigamma(a) - _lerch_cos_sum(rho, a)
+    if first >= _SERIES_MIN_INDEX:
+        return tail
+    k = np.arange(first, _SERIES_MIN_INDEX, dtype=np.float64)
+    s = np.sin(0.5 * rho * k)
+    head = 2.0 * s * s / (k * k)
+    return math.fsum([tail, *head.tolist()])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analog, digital, operators
 from .errors import DomainError
-from .kernel import BandpassInterval, QuadratureConfig, coefficient_tail_sum
+from .kernel import BandpassInterval, QuadratureConfig, oscillatory_tail_sum
 from .oracle import analog_distance_oracle, digital_distance_oracle
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence
 
@@ -258,15 +258,12 @@ def _chk_best_coefficients(seed: int) -> CheckResult:
 
 
 def _chk_tail_sum_route(seed: int) -> CheckResult:
-    # accelerated infinite tail sum vs the finite closed-form bracket
+    # the whole tail from k = 1 against Parseval: sum_k (1 - cos kc)/k^2 = c(2 pi - c)/4
     worst = 0.0
-    for c in (1.0, math.pi):
-        band = BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
-        for N in (0, 5):
-            rep = digital.delayed_report_digital(band, DigitalDelay(N))
-            tail = coefficient_tail_sum(c, N + 1)
-            worst = max(worst, abs(2.0 * math.pi * rep.distance**2 - tail.value))
-    return _result("digital", "tail-sum-dual-route", worst, 1e-9)
+    for c in (0.1, 1.0, math.pi, 6.0):
+        parseval = 0.25 * c * (2.0 * math.pi - c)
+        worst = max(worst, abs(oscillatory_tail_sum(c, 1) - parseval) / parseval)
+    return _result("digital", "tail-sum-dual-route", worst, 1e-14)
 
 
 def _chk_c0_ratio(seed: int) -> CheckResult:
@@ -340,8 +337,7 @@ def _chk_truncation_residual(seed: int) -> CheckResult:
 def _chk_digital_truncation_limit(seed: int) -> CheckResult:
     band = _half_circle()
     K = 2048
-    table = digital.FourierCoefficientTable.build(band, -K, K)
-    h = DigitalSequence(-K, table.values[::-1].copy())
+    h = digital.best_causal_coefficients(band, DigitalDelay(K), K)
     kept = operators.truncate_to_delay(h, DigitalDelay(0))
     resid2 = h.norm() ** 2 - kept.norm() ** 2
     target = digital.causal_report_digital(band).distance ** 2

@@ -81,6 +81,24 @@ class TestGoldenOutputs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / name).read_text()
 
+    def test_digital_distances_against_mpmath(self):
+        # every delayed distance (the tail route) within 2^-53 relative of
+        # the 40-digit reference, for the width b - a the library computes
+        # from the printed edges; the causal closed form 1/2 - c/(4 pi),
+        # unchanged for c <= pi, within 2^-52 (0.8 ulp at c = 2)
+        cases = []
+        for name in ("digital_causal.json", "digital_delayed.json"):
+            data = json.loads((GOLDEN / name).read_text())
+            c = data["band"]["b"] - data["band"]["a"]
+            cases.append((c, data["delay"] or 0, data["distance"]))
+        for line in (GOLDEN / "sweep_digital_delay.csv").read_text().splitlines()[1:]:
+            cells = line.split(",")
+            cases.append((4.0 - 2.0, int(float(cells[0])), float(cells[1])))
+        assert len(cases) == 7
+        for c, N, distance in cases:
+            bound = 2.0**-53 if N > 0 else 2.0**-52
+            assert mpref.rel_err(distance, mpref.digital_distance(c, N)) <= bound
+
 
 class TestReportJson:
     def test_causal_analog_values(self, capsys):
@@ -324,6 +342,15 @@ class TestExitCodes:
              "--range", "0", "1", "--steps", "3"),
             ("impulse", "--mode", "digital", "--a", "2", "--b", "4", "--window", "0"),
             ("impulse", "--mode", "analog", "--a", "0", "--b", "2", "--t-max", "1"),
+            # each of these ran into an overflow, memory or size error
+            ("digital", "--a", "1", "--b", "4", "--delay-samples", "1" + "0" * 400),
+            ("digital", "--a", "1", "--b", "4", "--coeffs", "100000000000"),
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "2",
+             "--t-max", "1e12", "--dt", "1e-6"),
+            ("impulse", "--mode", "digital", "--a", "2", "--b", "4",
+             "--window", "100000000000"),
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "1", "2", "--steps", "100000000000"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
@@ -403,6 +430,7 @@ class TestLazyImports:
             "from causalgap import cli\n"
             "for argv in (['analog', '--a', '0', '--b', '2'],\n"
             "             ['digital', '--a', '1', '--b', '2.5', '--delay-samples', '1000'],\n"
+            "             ['digital', '--a', '2', '--b', '4', '--delay-samples', '3'],\n"
             "             ['impulse', '--mode', 'digital', '--a', '2', '--b', '4',\n"
             "              '--window', '8']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"

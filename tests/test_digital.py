@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 import mpref
 
 from causalgap import (
@@ -18,18 +19,21 @@ from causalgap import (
     best_causal_coefficients,
     c0_ratio_angle,
     causal_report_digital,
-    coefficient_tail_sum,
     delayed_report_digital,
     fourier_coefficient,
 )
 from causalgap.kernel import oscillatory_tail_sum
-from causalgap.digital import DIRECT_SUM_MAX_N, _bracket, _report_from_bracket
+from causalgap.digital import _bracket, _report_from_bracket
 
 TWO_PI = 2.0 * math.pi
 
 
 def _half_circle() -> BandpassInterval:
     return BandpassInterval.digital(0.5 * math.pi, 1.5 * math.pi)
+
+
+def _centred_band(c: float) -> BandpassInterval:
+    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
 
 
 @st.composite
@@ -134,6 +138,18 @@ class TestCausalReportDigital:
         rep = causal_report_digital(band)
         assert rep.kernel_norm == pytest.approx(math.sqrt(2.0 / TWO_PI), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "c", [1e-6, 0.1, 1.0, math.pi, 4.0, 6.2, TWO_PI - 1e-3, TWO_PI - 1e-6, TWO_PI - 1e-9]
+    )
+    def test_closed_form_against_mpmath(self, c):
+        # 1/2 - c/(4 pi) cancels as c -> 2 pi; above pi it is rho/(4 pi)
+        band = _centred_band(c)
+        rep = causal_report_digital(band)
+        with mpmath.workdps(40):
+            cc = mpmath.mpf(band.bandwidth)
+            ref = mpmath.sqrt(cc * (2 * mpmath.pi - cc)) / (2 * mpmath.sqrt(2) * mpmath.pi)
+        assert mpref.rel_err(rep.distance, ref) <= 1e-15
+
     def test_rejects_analog_band(self):
         with pytest.raises(ValueError):
             causal_report_digital(BandpassInterval.analog(0.0, 1.0))
@@ -193,22 +209,17 @@ class TestDelayedReportDigital:
                 assert rep.consistency_error() <= 1e-12 * rep.kernel_norm
 
     def test_agrees_with_tail_summation_route(self):
-        # independent route: accelerated tail of (1 - cos kc)/(pi k^2),
-        # which equals 2 pi * distance^2
+        # independent route: the 40-digit zeta / Lerch form of the tail energy
         for c in (0.1, 1.0, math.pi, 5.0, 6.2):
             band = BandpassInterval.digital(0.01, 0.01 + c)
             for N in (0, 1, 2, 5, 20, 100):
                 rep = delayed_report_digital(band, DigitalDelay(N))
-                tail = coefficient_tail_sum(band.bandwidth, N + 1)
-                assert abs(TWO_PI * rep.distance**2 - tail.value) <= 1e-9
-
-
-def _centred_band(c: float) -> BandpassInterval:
-    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
+                ref = mpref.digital_distance(band.bandwidth, N)
+                assert mpref.rel_err(rep.distance, ref) <= 1e-14
 
 
 class TestFarLookahead:
-    """Reports beyond DIRECT_SUM_MAX_N come from the constant-cost tail."""
+    """Reports at every look-ahead come from the constant-cost tail."""
 
     @pytest.mark.parametrize("N", [10**11, 10**15])
     @pytest.mark.parametrize("c", [1e-6, 1.0, math.pi, 2.25, TWO_PI - 1e-6])
@@ -222,7 +233,7 @@ class TestFarLookahead:
     @pytest.mark.parametrize(
         "c, N",
         [
-            (2.25, 301),  # expansion just above the direct sum
+            (2.25, 301),  # expansion with a short head before it
             (math.pi, 301),  # every other expansion coefficient vanishes
             (math.pi - 1e-9, 10**4),
             (0.1, 301),  # a rho = 30: Euler-Maclaurin
@@ -240,25 +251,28 @@ class TestFarLookahead:
         assert mpref.rel_err(rep.distance, ref) <= 1e-14
 
     @pytest.mark.parametrize("c", [0.1, 1.0, 2.25, math.pi, 5.0])
-    def test_direct_sum_and_expansion_meet_at_the_switch(self, c):
+    def test_head_and_expansion_meet_at_the_split(self, c):
+        # N = 254, 255 add one and no head term to the series from k = 256;
+        # N = 256, 257 take the series alone
         band = _centred_band(c)
-        N = DIRECT_SUM_MAX_N
-        direct = _bracket(band, N)
-        expansion = oscillatory_tail_sum(band.bandwidth, N + 1) / (math.pi * band.bandwidth)
-        # the direct sum cancels against 1/2 - c/(4 pi) and loses ~N ulps
-        assert abs(direct - expansion) <= 1e-12 * expansion
-        angles = [
-            delayed_report_digital(band, DigitalDelay(n)).angle for n in (N - 1, N, N + 1, N + 2)
-        ]
-        assert all(later <= earlier for earlier, later in zip(angles, angles[1:]))
+        reps = [delayed_report_digital(band, DigitalDelay(N)) for N in range(253, 259)]
+        for N, rep in zip(range(253, 259), reps):
+            ref = mpref.digital_distance(band.bandwidth, N)
+            assert mpref.rel_err(rep.distance, ref) <= 1e-15
+        assert all(later.angle <= earlier.angle for earlier, later in zip(reps, reps[1:]))
 
-    def test_small_lookahead_stays_on_the_direct_sum(self):
+    @pytest.mark.parametrize("N", [1, 5, 254, 255, 300, 10**4])
+    def test_every_lookahead_takes_the_tail_route(self, N):
         band = _centred_band(2.0)
-        N = DIRECT_SUM_MAX_N
-        k = np.arange(1, N + 1, dtype=np.float64)
-        s = np.sin(k)
-        partial = math.fsum(2.0 * s * s / (k * k))
-        assert _bracket(band, N) == 0.5 - 2.0 / (4.0 * math.pi) - partial / (math.pi * 2.0)
+        assert _bracket(band, N) == oscillatory_tail_sum(2.0, N + 1) / (math.pi * 2.0)
+
+    @pytest.mark.parametrize("N", [1, 255, 300])
+    def test_near_full_circle(self, N):
+        # the partial sum cancelling against 1/2 - c/(4 pi) lost 2e-10 here
+        band = _centred_band(TWO_PI - 1e-6)
+        rep = delayed_report_digital(band, DigitalDelay(N))
+        ref = mpref.digital_distance(band.bandwidth, N)
+        assert mpref.rel_err(rep.distance, ref) <= 1e-15
 
 
 class TestBracketClamping:

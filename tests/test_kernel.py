@@ -9,23 +9,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 import mpmath
 import mpref
 
 from causalgap import (
     BandpassInterval,
-    BudgetExceeded,
     QuadratureConfig,
-    SeriesConfig,
-    coefficient_tail_sum,
     integrate_adaptive,
     oscillatory_kernel,
     sine_integral,
 )
 from causalgap.kernel import (
-    TAIL_SUM_MIN_INDEX,
     oscillatory_tail_integral,
     oscillatory_tail_sum,
     sine_integral_complement,
@@ -80,12 +76,6 @@ class TestConfigs:
             QuadratureConfig(rel_tolerance=-1e-3)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
-
-    def test_series_config_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(tail_bound_target=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(max_terms=0)
 
 
 class TestOscillatoryKernel:
@@ -208,66 +198,6 @@ class TestIntegrateAdaptive:
                 assert abs(quad.value - closed) <= 1e-8
 
 
-class TestCoefficientTailSum:
-    def test_half_circle_full_tail(self):
-        # Parseval pins the full tail at c/2 - c^2/(4 pi); pi/4 at c = pi
-        res = coefficient_tail_sum(math.pi, 1)
-        assert abs(res.value - 0.25 * math.pi) <= 1e-11
-        assert res.tail_bound <= 1e-12
-        assert res.terms_used >= 1
-
-    def test_parseval_identity_across_bandwidths(self):
-        # 2 * tail(c, 1) + c^2 / (2 pi) = c
-        for c in (0.1, 1.0, math.pi, 5.0):
-            res = coefficient_tail_sum(c, 1)
-            assert abs(2.0 * res.value + c * c / TWO_PI - c) <= 1e-9
-
-    def test_against_direct_partial_sum(self):
-        # dumb oracle: literal (1 - cos k c) / (pi k^2), one million terms
-        for c, start in ((1.0, 1), (math.pi, 3), (6.0, 2)):
-            res = coefficient_tail_sum(c, start)
-            k = np.arange(start, start + 10**6, dtype=np.float64)
-            dumb = float(np.sum((1.0 - np.cos(c * k)) / (math.pi * k * k)))
-            # what the dumb sum left out is at most the comparison bound
-            slack = 2.0 / (math.pi * (start + 10**6 - 1))
-            assert abs(res.value - dumb) <= slack
-
-    def test_far_tail_is_small(self):
-        res = coefficient_tail_sum(math.pi, 10**6)
-        assert 0.0 < res.value <= 2.0 / (math.pi * 10**6)
-
-    def test_honest_near_full_circle(self):
-        # cosine sums mix slowly near c = 2 pi; needs a looser target
-        cfg = SeriesConfig(tail_bound_target=1e-8, max_terms=10**7)
-        c = TWO_PI - 1e-3
-        res = coefficient_tail_sum(c, 1, cfg)
-        assert res.tail_bound <= 1e-8
-        expected = 0.5 * c - c * c / (4.0 * math.pi)
-        assert abs(res.value - expected) <= 1e-7
-
-    def test_budget_exceeded(self):
-        cfg = SeriesConfig(tail_bound_target=1e-12, max_terms=10**5)
-        with pytest.raises(BudgetExceeded):
-            coefficient_tail_sum(TWO_PI - 1e-3, 1, cfg)
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError):
-            coefficient_tail_sum(0.0, 1)
-        with pytest.raises(ValueError):
-            coefficient_tail_sum(TWO_PI, 1)
-        with pytest.raises(ValueError):
-            coefficient_tail_sum(1.0, 0)
-
-    @settings(max_examples=30)
-    @given(st.floats(0.5, 6.0), st.integers(1, 500))
-    def test_tail_decreases_in_start_index(self, c, m):
-        cfg = SeriesConfig(tail_bound_target=1e-9, max_terms=10**7)
-        a = coefficient_tail_sum(c, m, cfg)
-        b = coefficient_tail_sum(c, m + 1, cfg)
-        assert b.value <= a.value + 2e-9
-        assert a.value >= -1e-12
-
-
 class TestSineIntegralComplement:
     @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 3.99, 4.0, 4.01, 10.0, 1e6, 1e12, 1e300])
     def test_absolute_error_against_mpmath(self, x):
@@ -303,25 +233,71 @@ class TestOscillatoryTailIntegral:
         assert mpref.rel_err(d, mpref.analog_distance(1e10, 1e7)) <= 1e-14
 
 
+class TestCoefficientTailSum:
+    """The tail of the squared Fourier coefficients, (1 - cos k c) / (pi k^2),
+    which is oscillatory_tail_sum scaled by 1 / pi."""
+
+    def test_against_direct_partial_sum(self):
+        # dumb oracle: literal (1 - cos k c) / (pi k^2), one million terms
+        for c, start in ((1.0, 1), (math.pi, 3), (6.0, 2)):
+            value = oscillatory_tail_sum(c, start) / math.pi
+            k = np.arange(start, start + 10**6, dtype=np.float64)
+            dumb = float(np.sum((1.0 - np.cos(c * k)) / (math.pi * k * k)))
+            # what the dumb sum left out is at most the comparison bound
+            slack = 2.0 / (math.pi * (start + 10**6 - 1))
+            assert abs(value - dumb) <= slack
+
+    def test_far_tail_is_small(self):
+        value = oscillatory_tail_sum(math.pi, 10**6) / math.pi
+        assert 0.0 < value <= 2.0 / (math.pi * 10**6)
+
+    def test_rejects_bad_domain(self):
+        # outside 0 < c < 2 pi, non-finite, or a first index below one
+        for c in (-1.0, 7.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                oscillatory_tail_sum(c, 1)
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(1.0, -3)
+
+
 class TestOscillatoryTailSum:
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
-            oscillatory_tail_sum(0.0, TAIL_SUM_MIN_INDEX)
+            oscillatory_tail_sum(0.0, 1)
         with pytest.raises(ValueError):
-            oscillatory_tail_sum(TWO_PI, TAIL_SUM_MIN_INDEX)
+            oscillatory_tail_sum(TWO_PI, 1)
         with pytest.raises(ValueError):
-            oscillatory_tail_sum(1.0, TAIL_SUM_MIN_INDEX - 1)
+            oscillatory_tail_sum(1.0, 0)
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(1.0, 2**53 + 1)
+        with pytest.raises(ValueError):
+            oscillatory_tail_sum(1.0, 10**400)
 
     @pytest.mark.parametrize("c", [1e-3, 0.1, 0.199, 0.2, 1.0, math.pi, 4.0, TWO_PI - 1e-3])
-    @pytest.mark.parametrize("first", [TAIL_SUM_MIN_INDEX, 301, 5000, 10**8])
+    @pytest.mark.parametrize("first", [1, 2, 100, 255, 256, 301, 5000, 10**8])
     def test_against_lerch_reference(self, c, first):
         # a few ulps: below a rho = 60 the error of pi/2 - Si(a rho) carries over
         ref = mpref.digital_tail(c, first - 1)
         assert mpref.rel_err(oscillatory_tail_sum(c, first), ref) <= 1e-15
 
+    @pytest.mark.parametrize("c", [0.1, 1.0, math.pi, 6.0, TWO_PI - 1e-9])
+    def test_whole_tail_is_parseval(self, c):
+        # sum_{k >= 1} (1 - cos kc) / k^2 = c (2 pi - c) / 4
+        with mpmath.workdps(40):
+            cc = mpmath.mpf(c)
+            ref = cc * (2 * mpmath.pi - cc) / 4
+        assert mpref.rel_err(oscillatory_tail_sum(c, 1), ref) <= 1e-15
+
+    def test_head_terms_only_add(self):
+        # below index 256 each step adds one nonnegative term to the same
+        # series tail, in one exact sum, so the values can only grow
+        for c in (0.05, 1.0, math.pi, TWO_PI - 1e-6):
+            tails = [oscillatory_tail_sum(c, first) for first in range(1, 257)]
+            assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
     def test_against_literal_partial_sum(self):
         # a million literal terms plus the 1/k^2 comparison bound on the rest
-        for c, first in ((1.0, 300), (math.pi, 1000), (0.05, 400)):
+        for c, first in ((1.0, 300), (math.pi, 1000), (0.05, 400), (2.0, 1)):
             k = np.arange(first, first + 10**6, dtype=np.float64)
             dumb = math.fsum((1.0 - np.cos(c * k)) / (k * k))
             slack = 2.0 / (first + 10**6 - 1)
