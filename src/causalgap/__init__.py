@@ -23,7 +23,6 @@ from .kernel import (
     QuadratureResult,
     integrate_adaptive,
     oscillatory_kernel,
-    sine_integral,
 )
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 from .analog import (
@@ -39,7 +38,6 @@ from .analog import (
     paley_wiener_diagnostic,
     real_transfer_report,
     truncation_energy_quadrature,
-    truncation_energy_si,
 )
 from .digital import (
     FourierCoefficientTable,
@@ -47,7 +45,6 @@ from .digital import (
     c0_ratio_angle,
     causal_report_digital,
     delayed_report_digital,
-    fourier_coefficient,
 )
 from .operators import (
     NormEstimate,
@@ -101,7 +98,6 @@ __all__ = [
     "delayed_report",
     "delayed_report_digital",
     "digital_distance_oracle",
-    "fourier_coefficient",
     "impulse_response",
     "integrate_adaptive",
     "limit_probe",
@@ -111,10 +107,8 @@ __all__ = [
     "oscillatory_kernel",
     "paley_wiener_diagnostic",
     "real_transfer_report",
-    "sine_integral",
     "truncate_to_delay",
     "truncate_to_delay_analog",
     "truncation_energy_quadrature",
-    "truncation_energy_si",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from .kernel import (
     integrate_adaptive,
     oscillatory_kernel,
     oscillatory_tail_integral,
-    sine_integral,
 )
 from .signals import AnalogDelay, SampledSignal
 
@@ -53,7 +52,6 @@ __all__ = [
     "delayed_report",
     "delayed_distance_si",
     "truncation_energy_quadrature",
-    "truncation_energy_si",
     "real_transfer_report",
     "memoryless_angle_check",
     "paley_wiener_diagnostic",
@@ -183,21 +181,6 @@ def causal_report(band: BandpassInterval) -> ApproximationReport:
     )
 
 
-def truncation_energy_si(band: BandpassInterval, T: float) -> float:
-    """Closed form for the kernel mass over [-T, T] via the sine integral.
-
-    integral_0^T kappa = (1/pi) (c Si(cT) - 2 sin^2(cT/2) / T); doubled by
-    evenness.  T = 0 gives 0.
-    """
-    _require_analog(band)
-    if T == 0.0:
-        return 0.0
-    c = band.bandwidth
-    s = math.sin(0.5 * c * T)
-    one_sided = (c * sine_integral(c * T) - 2.0 * s * s / T) / math.pi
-    return 2.0 * one_sided
-
-
 def truncation_energy_quadrature(
     band: BandpassInterval, T: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
@@ -216,16 +199,16 @@ def delayed_report(
 ) -> ApproximationReport:
     """Distance and angle to the filters allowed to look ahead by T.
 
-    distance(T)^2 is the kernel mass beyond T,
-    (1/pi) [2 sin^2(cT/2) / T + c (pi/2 - Si(cT))], reported as
-    "ClosedForm" with error_estimate 0: both terms keep the size of the
-    result, so the relative error stays at rounding level for every cT, at
-    a cost that does not grow with T.  Passing cfg asks for the adaptive
-    quadrature route instead: distance(T)^2 = (b - a)/2 - (1/2) integral
-    over [-T, T] of kappa, reported as "Quadrature" with its error estimate
-    and converged flag, and cross-checked against the sine integral (the
-    two must agree within their combined error budgets or the computation
-    aborts).  T = 0 returns the causal closed form unchanged.
+    distance(T)^2 is the kernel mass beyond T, F(cT) / (pi T) with
+    F(x) = 1 - Re E_2(i x) (kernel.oscillatory_tail_integral), reported as
+    "ClosedForm" with error_estimate 0: F is evaluated without cancellation,
+    so the relative error stays at rounding level for every cT, at a cost
+    that does not grow with T.  Passing cfg asks for the adaptive quadrature
+    route instead: distance(T)^2 = (b - a)/2 - (1/2) integral over [-T, T]
+    of kappa, reported as "Quadrature" with its error estimate and converged
+    flag, and cross-checked against the closed-form mass c - (2/pi) F(cT)/T
+    (the two must agree within their combined error budgets or the
+    computation aborts).  T = 0 returns the causal closed form unchanged.
     """
     _require_analog(band)
     c = band.bandwidth
@@ -254,12 +237,12 @@ def _quadrature_report(
 ) -> ApproximationReport:
     c = band.bandwidth
     quad = truncation_energy_quadrature(band, T, cfg)
-    mass_si = truncation_energy_si(band, T)
+    mass_closed = c - 2.0 * oscillatory_tail_integral(c, T) / math.pi
     cross_tol = max(1e-7 * (1.0 + c), 100.0 * (quad.error_estimate + 1e-12 * (1.0 + c)))
-    if abs(quad.value - mass_si) > cross_tol:
+    if abs(quad.value - mass_closed) > cross_tol:
         raise RuntimeError(
             f"quadrature and closed-form truncation energies disagree: "
-            f"{quad.value!r} vs {mass_si!r}"
+            f"{quad.value!r} vs {mass_closed!r}"
         )
 
     d2 = 0.5 * c - 0.5 * quad.value
@@ -285,7 +268,7 @@ def _quadrature_report(
 
 
 def delayed_distance_si(band: BandpassInterval, delay: AnalogDelay) -> float:
-    """Distance to the filters with look-ahead T, from the sine-integral closed form.
+    """Distance to the filters with look-ahead T, from the closed form.
 
     sqrt of (1/pi) integral_T^inf (1 - cos(c t)) / t^2 dt
     (kernel.oscillatory_tail_integral); sqrt(c/2) at T = 0.

@@ -1,8 +1,9 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters (also a table or sweep of more than _MAX_ROWS rows, or a
-look-ahead beyond _MAX_DELAY_SAMPLES), 3 a quadrature asked for with
+parameters (also a table or sweep of more than _MAX_ROWS rows, a
+look-ahead beyond _MAX_DELAY_SAMPLES, or a --max-subdivisions above
+_MAX_SUBDIVISIONS), 3 a quadrature asked for with
 --quad-tol or --max-subdivisions hit its subdivision budget (the report is
 still printed, with converged=false), 4 unwritable output path.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import analog, digital, verify
 from .errors import DomainError
-from .kernel import TWO_PI, BandpassInterval, QuadratureConfig
+from .kernel import BandpassInterval, QuadratureConfig
 from .operators import truncate_to_delay, truncate_to_delay_analog
 from .signals import AnalogDelay, DigitalDelay
 
@@ -34,6 +35,8 @@ _MAX_ROWS = 10**6
 #: largest digital look-ahead: the tail sums start at N + 1, which must stay
 #: exact in double precision
 _MAX_DELAY_SAMPLES = 2**53 - 1
+#: largest --max-subdivisions; the quadrature keeps one heap entry per panel
+_MAX_SUBDIVISIONS = 2**20
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -134,6 +137,8 @@ def _quad_cfg(args) -> QuadratureConfig | None:
         kwargs["abs_tolerance"] = args.quad_tol
         kwargs["rel_tolerance"] = args.quad_tol
     if args.max_subdivisions is not None:
+        if args.max_subdivisions > _MAX_SUBDIVISIONS:
+            raise ValueError(f"max-subdivisions must not exceed {_MAX_SUBDIVISIONS}")
         kwargs["max_subdivisions"] = args.max_subdivisions
     return QuadratureConfig(**kwargs)
 
@@ -213,9 +218,10 @@ def _sweep_rows(args, params) -> list | int:
                 rep = analog.delayed_report(band, AnalogDelay(p))
         else:
             if args.vary == "bandwidth":
-                if not 0.0 < p < TWO_PI:
+                try:
+                    band = digital._band_of_width(p)
+                except DomainError:
                     return _fail("digital bandwidth values must lie in (0, 2*pi)", 2)
-                band = BandpassInterval.digital(math.pi - 0.5 * p, math.pi + 0.5 * p)
                 if args.delay_samples is None:
                     rep = digital.causal_report_digital(band)
                 else:
@@ -243,8 +249,8 @@ def cmd_sweep(args) -> int:
         return _fail("range must satisfy LO < HI", 2)
     if not 2 <= args.steps <= _MAX_ROWS:
         return _fail(f"need between 2 and {_MAX_ROWS} steps", 2)
-    if args.delay is not None and args.delay < 0.0:
-        return _fail("delay must be nonnegative", 2)
+    if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
+        return _fail("delay must be a nonnegative real", 2)
     samples = args.delay_samples
     if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
         return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
@@ -275,8 +281,8 @@ def cmd_impulse(args) -> int:
         n = int(round(steps)) + 1
         sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
         if args.delay is not None:
-            if args.delay < 0.0:
-                return _fail("delay must be nonnegative", 2)
+            if not (math.isfinite(args.delay) and args.delay >= 0.0):
+                return _fail("delay must be a nonnegative real", 2)
             sig = truncate_to_delay_analog(sig, AnalogDelay(args.delay))
         axis = sig.times()
         values = sig.values

@@ -11,7 +11,6 @@ kernel.oscillatory_tail_sum(c, N + 1) / (2 pi^2), one route at every N.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from .signals import DigitalDelay, DigitalSequence
 
 __all__ = [
     "FourierCoefficientTable",
-    "fourier_coefficient",
     "causal_report_digital",
     "delayed_report_digital",
     "best_causal_coefficients",
@@ -38,22 +36,20 @@ def _require_digital(band: BandpassInterval) -> None:
         raise ValueError("expected a digital band")
 
 
-def fourier_coefficient(band: BandpassInterval, k: int) -> complex:
-    """k-th Fourier coefficient of the band indicator, stable product form.
-
-    c_0 = (b - a) / (2 pi); for k != 0,
-    c_k = sin(k c / 2) / (pi k) * exp(-i k (a + b) / 2).
-    """
-    _require_digital(band)
-    if k == 0:
-        return complex(band.bandwidth / TWO_PI)
-    amp = math.sin(0.5 * k * band.bandwidth) / (math.pi * k)
-    return amp * cmath.exp(-1j * k * band.center)
+def _band_of_width(c: float) -> BandpassInterval:
+    """The digital band of width c centred on pi; DomainError unless 0 < c < 2 pi."""
+    if not 0.0 < c < TWO_PI:
+        raise DomainError("digital bandwidth must lie in (0, 2 pi)")
+    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
 
 
 @dataclass(frozen=True, eq=False)
 class FourierCoefficientTable:
-    """Coefficients c_k of a band indicator for k in [k_min, k_min + len)."""
+    """Coefficients c_k of a band indicator for k in [k_min, k_min + len).
+
+    Stable product form: c_0 = (b - a) / (2 pi) and, for k != 0,
+    c_k = sin(k c / 2) / (pi k) * exp(-i k (a + b) / 2).
+    """
 
     band: BandpassInterval
     k_min: int

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analog import delayed_distance_si, impulse_response
-from .digital import delayed_report_digital
+from .digital import _band_of_width, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
 from .signals import AnalogDelay, DigitalDelay
@@ -154,12 +154,6 @@ def _check_ladder(ladder) -> list[float]:
     return vals
 
 
-def _digital_band_of_width(c: float) -> BandpassInterval:
-    if not 0.0 < c < TWO_PI:
-        raise DomainError("digital bandwidth must lie in (0, 2 pi)")
-    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
-
-
 def limit_probe(
     quantity: str,
     ladder,
@@ -217,7 +211,7 @@ def limit_probe(
             dd = delay if isinstance(delay, DigitalDelay) else DigitalDelay(0)
             for c in rungs:
                 values.append(
-                    delayed_report_digital(_digital_band_of_width(c), dd).angle
+                    delayed_report_digital(_band_of_width(c), dd).angle
                 )
     else:
         raise DomainError(f"unknown probe quantity {quantity!r}")

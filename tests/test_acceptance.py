@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from causalgap import (
@@ -32,7 +33,6 @@ from causalgap import (
     limit_probe,
     operator_norm_estimate,
     paley_wiener_diagnostic,
-    sine_integral,
     truncation_energy_quadrature,
 )
 from causalgap.kernel import TWO_PI
@@ -155,7 +155,8 @@ def test_criterion_05_quadrature_vs_sine_integral():
             si = delayed_distance_si(band, AnalogDelay(T))
             worst_dist = max(worst_dist, abs(rep.distance - si))
             quad = truncation_energy_quadrature(band, T)
-            closed = (c * sine_integral(c * T) - (1.0 - math.cos(c * T)) / T) / math.pi
+            si = float(mpmath.si(c * T))
+            closed = (c * si - (1.0 - math.cos(c * T)) / T) / math.pi
             worst_mass = max(worst_mass, abs(0.5 * quad.value - closed))
     elapsed = time.perf_counter() - start
     ok = worst_dist <= 1e-8 and worst_mass <= 1e-8 and elapsed < 5.0

@@ -28,8 +28,8 @@ from causalgap import (
     paley_wiener_diagnostic,
     real_transfer_report,
     truncation_energy_quadrature,
-    truncation_energy_si,
 )
+from causalgap.kernel import oscillatory_tail_integral
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -164,6 +164,19 @@ class TestDelayedReport:
             assert rep.method == "ClosedForm"
             assert mpref.rel_err(rep.distance, mpref.analog_distance(c, T)) <= 1e-14
 
+    def test_dense_grid_against_mpmath(self):
+        # seeded log-uniform cT over [1e-3, 1e8], plus every 0.0125 of [3, 8],
+        # where pi/2 - Si(cT) changes sign near 4.89
+        rng = np.random.default_rng(2024)
+        grid = [*(10.0 ** rng.uniform(-3.0, 8.0, 200)), *(3.0 + 0.0125 * np.arange(401))]
+        worst = 0.0
+        for cT in grid:
+            for c in (1e-3, 0.7, 2.0, 1e3):
+                T = float(cT) / c
+                d = delayed_report(BandpassInterval.analog(0.0, c), AnalogDelay(T)).distance
+                worst = max(worst, mpref.rel_err(d, mpref.analog_distance(c, T)))
+        assert worst <= 1e-15
+
     def test_quadrature_route_on_request(self):
         band = BandpassInterval.analog(0.0, 2.0)
         rep = delayed_report(band, AnalogDelay(1.0), QuadratureConfig())
@@ -221,24 +234,29 @@ class TestDelayedReport:
             assert abs(rep.distance - si) <= rep.error_estimate + 1e-10
 
 
+def _closed_form_mass(c, T):
+    """Kernel mass over [-T, T]: the total c less the two tails beyond |t| = T."""
+    return c - 2.0 * oscillatory_tail_integral(c, T) / math.pi
+
+
 class TestTruncationEnergy:
     def test_zero_window(self):
         band = BandpassInterval.analog(0.0, 2.0)
-        assert truncation_energy_si(band, 0.0) == 0.0
+        assert _closed_form_mass(2.0, 0.0) == 0.0
         res = truncation_energy_quadrature(band, 0.0)
         assert res.value == 0.0 and res.converged
 
     def test_window_energy_approaches_total(self):
         # mass over [-T, T] climbs to the full energy b - a
         band = BandpassInterval.analog(0.0, 2.0)
-        assert truncation_energy_si(band, 1e4) == pytest.approx(2.0, abs=1e-3)
+        assert _closed_form_mass(band.bandwidth, 1e4) == pytest.approx(2.0, abs=1e-3)
 
     def test_routes_agree(self):
         band = BandpassInterval.analog(-1.0, 3.0)
         for T in (0.25, 1.5, 8.0):
             quad = truncation_energy_quadrature(band, T)
             assert quad.converged
-            assert abs(quad.value - truncation_energy_si(band, T)) <= 1e-8
+            assert abs(quad.value - _closed_form_mass(band.bandwidth, T)) <= 1e-8
 
 
 class TestRealTransferReport:

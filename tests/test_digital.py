@@ -20,7 +20,6 @@ from causalgap import (
     c0_ratio_angle,
     causal_report_digital,
     delayed_report_digital,
-    fourier_coefficient,
 )
 from causalgap.kernel import oscillatory_tail_sum
 from causalgap.digital import _bracket, _report_from_bracket
@@ -36,6 +35,19 @@ def _centred_band(c: float) -> BandpassInterval:
     return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
 
 
+def _coefficient(band: BandpassInterval, k: int) -> complex:
+    """c_k from a one-entry table."""
+    return FourierCoefficientTable.build(band, k, k).coefficient(k)
+
+
+def _literal(band: BandpassInterval, k: int) -> complex:
+    """c_k from its definition: (b - a) / (2 pi) at k = 0, else
+    (e^{-ika} - e^{-ikb}) / (2 pi i k), literally."""
+    if k == 0:
+        return complex(band.bandwidth / TWO_PI)
+    return (cmath.exp(-1j * k * band.a) - cmath.exp(-1j * k * band.b)) / (2j * math.pi * k)
+
+
 @st.composite
 def digital_bands(draw):
     a = draw(st.floats(1e-3, 6.0))
@@ -46,12 +58,12 @@ def digital_bands(draw):
 class TestFourierCoefficient:
     def test_mean_coefficient(self):
         # c_0 is the bandwidth fraction of the circle
-        assert fourier_coefficient(_half_circle(), 0) == 0.5 + 0.0j
+        assert _coefficient(_half_circle(), 0) == 0.5 + 0.0j
         band = BandpassInterval.digital(1.0, 2.5)
-        assert fourier_coefficient(band, 0) == complex(1.5 / TWO_PI)
+        assert _coefficient(band, 0) == complex(1.5 / TWO_PI)
 
     def test_half_circle_first_coefficient(self):
-        c1 = fourier_coefficient(_half_circle(), 1)
+        c1 = _coefficient(_half_circle(), 1)
         assert abs(c1) == pytest.approx(1.0 / math.pi, rel=1e-15)
         assert c1.real == pytest.approx(-1.0 / math.pi, rel=1e-15)
         assert abs(c1.imag) <= 1e-15
@@ -63,21 +75,20 @@ class TestFourierCoefficient:
             a = float(rng.uniform(1e-3, 5.0))
             b = float(rng.uniform(a + 1e-3, TWO_PI - 1e-3))
             band = BandpassInterval.digital(a, b)
+            table = FourierCoefficientTable.build(band, -33, 200)
             for k in (1, -1, 2, 7, -33, 200):
-                literal = (cmath.exp(-1j * k * a) - cmath.exp(-1j * k * b)) / (
-                    2j * math.pi * k
-                )
-                assert abs(fourier_coefficient(band, k) - literal) <= 1e-14
+                assert abs(table.coefficient(k) - _literal(band, k)) <= 1e-14
 
     @given(digital_bands(), st.integers(1, 500))
     def test_magnitude_symmetry(self, band, k):
-        plus = abs(fourier_coefficient(band, k))
-        minus = abs(fourier_coefficient(band, -k))
+        table = FourierCoefficientTable.build(band, -k, k)
+        plus = abs(table.coefficient(k))
+        minus = abs(table.coefficient(-k))
         assert math.isclose(plus, minus, rel_tol=1e-14, abs_tol=1e-300)
 
     def test_rejects_analog_band(self):
         with pytest.raises(ValueError):
-            fourier_coefficient(BandpassInterval.analog(0.0, 1.0), 0)
+            FourierCoefficientTable.build(BandpassInterval.analog(0.0, 1.0), 0, 0)
 
 
 class TestFourierCoefficientTable:
@@ -87,12 +98,12 @@ class TestFourierCoefficientTable:
         assert len(table) == 13
         assert np.array_equal(table.indices(), np.arange(-6, 7))
         for k in range(-6, 7):
-            assert abs(table.coefficient(k) - fourier_coefficient(band, k)) <= 1e-15
+            assert abs(table.coefficient(k) - _literal(band, k)) <= 1e-15
 
     def test_energy_is_sum_of_squares(self):
         band = _half_circle()
         table = FourierCoefficientTable.build(band, -4, 4)
-        direct = sum(abs(fourier_coefficient(band, k)) ** 2 for k in range(-4, 5))
+        direct = sum(abs(_literal(band, k)) ** 2 for k in range(-4, 5))
         assert table.energy() == pytest.approx(direct, rel=1e-14)
 
     def test_parseval_defect_shrinks_with_window(self):
@@ -261,6 +272,18 @@ class TestFarLookahead:
             assert mpref.rel_err(rep.distance, ref) <= 1e-15
         assert all(later.angle <= earlier.angle for earlier, later in zip(reps, reps[1:]))
 
+    def test_small_rho_grid_against_mpmath(self):
+        # N = 200..300 with 256 rho near 4, where the Euler-Maclaurin tail
+        # from index 256 starts from the analog tail integral
+        worst = 0.0
+        for i in range(24):
+            band = BandpassInterval.digital(1.0, 1.0 + (0.010 + 0.001 * i))
+            refs = mpref.digital_distances_upto(band.bandwidth, 300)
+            for N in range(200, 301):
+                d = delayed_report_digital(band, DigitalDelay(N)).distance
+                worst = max(worst, mpref.rel_err(d, refs[N]))
+        assert worst <= 1e-15
+
     @pytest.mark.parametrize("N", [1, 5, 254, 255, 300, 10**4])
     def test_every_lookahead_takes_the_tail_route(self, N):
         band = _centred_band(2.0)
@@ -292,9 +315,9 @@ class TestBestCausalCoefficients:
         seq = best_causal_coefficients(band, DigitalDelay(0), window=8)
         assert seq.offset == 0
         assert len(seq) == 9
-        assert seq.values[0] == fourier_coefficient(band, 0)
+        assert seq.values[0] == _literal(band, 0)
         for n in range(9):
-            expected = fourier_coefficient(band, -n)
+            expected = _literal(band, -n)
             assert abs(seq.values[n] - expected) <= 1e-15
 
     def test_lookahead_extends_into_negative_indices(self):
@@ -304,7 +327,7 @@ class TestBestCausalCoefficients:
         assert len(seq) == 8
         indices = seq.indices()
         for i, n in enumerate(indices):
-            expected = fourier_coefficient(band, -int(n))
+            expected = _literal(band, -int(n))
             assert abs(seq.values[i] - expected) <= 1e-15
 
     def test_window_must_cover_lookahead(self):

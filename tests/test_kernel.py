@@ -1,4 +1,4 @@
-"""Numeric primitives: oscillatory kernel, sine integral, quadrature, tail sums.
+"""Numeric primitives: oscillatory kernel, tail integral, quadrature, tail sums.
 
 Every closed form used downstream is checked here against an independent
 brute-force route (direct formula evaluation, literal partial summation, or
@@ -19,13 +19,9 @@ from causalgap import (
     QuadratureConfig,
     integrate_adaptive,
     oscillatory_kernel,
-    sine_integral,
 )
-from causalgap.kernel import (
-    oscillatory_tail_integral,
-    oscillatory_tail_sum,
-    sine_integral_complement,
-)
+from causalgap import kernel
+from causalgap.kernel import oscillatory_tail_integral, oscillatory_tail_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,6 +72,9 @@ class TestConfigs:
             QuadratureConfig(rel_tolerance=-1e-3)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+        for nan_field in ("abs_tolerance", "rel_tolerance"):
+            with pytest.raises(ValueError):
+                QuadratureConfig(**{nan_field: math.nan})
 
 
 class TestOscillatoryKernel:
@@ -118,26 +117,44 @@ class TestOscillatoryKernel:
             oscillatory_kernel(-2.0, 1.0)
 
 
+def _si_form(x):
+    """(1 - cos x) / x + pi/2 - Si(x) at 40 digits, pi/2 at x = 0."""
+    with mpmath.workdps(40):
+        if x == 0.0:
+            return +mpmath.pi / 2
+        x = mpmath.mpf(x)
+        return 2 * mpmath.sin(x / 2) ** 2 / x + mpmath.pi / 2 - mpmath.si(x)
+
+
 class TestSineIntegral:
+    """The sine integral enters through F(x) = 1 - cos x + x (pi/2 - Si x),
+    which oscillatory_tail_integral(c, T) returns as F(cT) / T."""
+
     def test_at_zero(self):
-        assert sine_integral(0.0) == 0.0
+        # Si(0) = 0: the tail from 0, or from a start where cT is subnormal, is pi c / 2
+        assert oscillatory_tail_integral(2.0, 0.0) == math.pi
+        assert oscillatory_tail_integral(2.0, 1e-320) == math.pi
 
     def test_against_quadrature_oracle(self):
-        # independent route: adaptive quadrature of sin(u)/u itself
+        # independent route: Si by adaptive quadrature of sin(u)/u itself
         def sinc(u):
             return math.sin(u) / u if u != 0.0 else 1.0
 
         for x in (0.5, 1.0, math.pi, 10.0, 50.0):
             res = integrate_adaptive(sinc, 0.0, x)
             assert res.converged
-            assert abs(sine_integral(x) - res.value) <= 1e-12
+            s = math.sin(0.5 * x)
+            closed = 2.0 * s * s + x * (0.5 * math.pi - res.value)
+            assert abs(oscillatory_tail_integral(x, 1.0) - closed) <= 1e-12 * max(1.0, x)
 
-    @given(st.floats(-1e4, 1e4))
-    def test_odd(self, x):
-        assert sine_integral(-x) == -sine_integral(x)
+    @given(st.floats(0.0, 1e4))
+    def test_matches_si_form_at_random_points(self, x):
+        ref = _si_form(x)
+        assert mpref.rel_err(oscillatory_tail_integral(1.0, x), ref) <= 1e-15
 
     def test_large_argument_asymptote(self):
-        assert abs(sine_integral(1e4) - 0.5 * math.pi) < 1e-3
+        # F(x) -> 1 as Si(x) -> pi/2
+        assert abs(1e4 * oscillatory_tail_integral(1.0, 1e4) - 1.0) < 1e-3
 
 
 class TestIntegrateAdaptive:
@@ -188,28 +205,33 @@ class TestIntegrateAdaptive:
         assert abs(res.value - c) <= 1e-3
 
     def test_antiderivative_identity(self):
-        # quadrature over [0, T] must match the Si-based closed form
+        # quadrature over [0, T] must match c/2 less the closed-form tail beyond T
         for c in (0.5, 1.0, math.pi, 6.0):
             for T in (0.1, 1.0, 10.0):
                 quad = integrate_adaptive(lambda t: oscillatory_kernel(c, t), 0.0, T)
-                s = math.sin(0.5 * c * T)
-                closed = (c * sine_integral(c * T) - 2.0 * s * s / T) / math.pi
+                closed = 0.5 * c - oscillatory_tail_integral(c, T) / math.pi
                 assert quad.converged
                 assert abs(quad.value - closed) <= 1e-8
 
 
 class TestSineIntegralComplement:
+    """pi/2 - Si(x), plus (1 - cos x) / x, is oscillatory_tail_integral(1, x);
+    the points straddle the switch from the series to E_2 at x = 4."""
+
     @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 3.99, 4.0, 4.01, 10.0, 1e6, 1e12, 1e300])
     def test_absolute_error_against_mpmath(self, x):
         with mpmath.workdps(40):
-            ref = -mpmath.im(mpmath.e1(mpmath.mpc(0, x))) if x else mpmath.pi / 2
-            err = float(abs(mpmath.mpf(sine_integral_complement(x)) - ref))
+            complement = -mpmath.im(mpmath.e1(mpmath.mpc(0, x))) if x else mpmath.pi / 2
+            ref = complement + (2 * mpmath.sin(mpmath.mpf(x) / 2) ** 2 / x if x else 0)
+            err = float(abs(mpmath.mpf(oscillatory_tail_integral(1.0, x)) - ref))
         # absolute error, scaled by the 1/x envelope the function decays in
         assert err * max(1.0, x) <= 2e-15
+        assert mpref.rel_err(oscillatory_tail_integral(1.0, x), ref) <= 1e-15
 
     def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            sine_integral_complement(-1.0)
+        for T in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                oscillatory_tail_integral(1.0, T)
 
 
 class TestOscillatoryTailIntegral:
@@ -217,13 +239,19 @@ class TestOscillatoryTailIntegral:
         assert oscillatory_tail_integral(2.0, 0.0) == math.pi
 
     def test_matches_sine_integral_mass(self):
-        # pi * (c/2 - (1/2) mass over [-T, T]) = tail beyond T
+        # pi * (c/2 - (1/2) mass over [-T, T]) = tail beyond T, Si from mpmath
         for c, T in ((0.5, 0.1), (2.0, 1.0), (6.0, 10.0)):
             s = math.sin(0.5 * c * T)
-            mass = 2.0 * (c * sine_integral(c * T) - 2.0 * s * s / T) / math.pi
+            si = float(mpmath.si(c * T))
+            mass = 2.0 * (c * si - 2.0 * s * s / T) / math.pi
             assert oscillatory_tail_integral(c, T) == pytest.approx(
                 math.pi * (0.5 * c - 0.5 * mass), rel=1e-12
             )
+
+    def test_unsettled_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_E2_MAX_STEPS", 3)
+        with pytest.raises(RuntimeError):
+            oscillatory_tail_integral(1.0, 5.0)
 
     def test_far_start_tends_to_one_over_t(self):
         # c T beyond 2^56: the oscillating correction is below rounding

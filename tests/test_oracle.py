@@ -9,13 +9,13 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     DomainError,
+    FourierCoefficientTable,
     NonMonotoneLadder,
     analog_distance_oracle,
     delayed_distance_si,
     delayed_report,
     delayed_report_digital,
     digital_distance_oracle,
-    fourier_coefficient,
     limit_probe,
 )
 from causalgap.oracle import PROBE_QUANTITIES
@@ -67,7 +67,8 @@ class TestDigitalDistanceOracle:
         band = BandpassInterval.digital(1.0, 4.0)
         K = 64
         res = digital_distance_oracle(band, DigitalDelay(K - 1), max_index=K)
-        assert res.value == pytest.approx(abs(fourier_coefficient(band, K)), rel=1e-12)
+        ck = FourierCoefficientTable.build(band, K, K).coefficient(K)
+        assert res.value == pytest.approx(abs(ck), rel=1e-12)
 
     def test_energy_agreement_with_closed_form(self):
         K = 10**5
