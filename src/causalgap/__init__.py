@@ -7,6 +7,9 @@ computes the exact L2 distance and angle from an ideal filter to the causal
 filters and to the filters allowed a delay, in both the analog (real line)
 and digital (unit circle) settings, and ships the brute-force oracles used
 to validate every closed form.
+
+Outside verify, numpy is imported only inside the functions that build or
+reduce arrays, so scalar reports, sweeps and limit probes never load it.
 """
 
 from .errors import (

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NonRealInput, ZeroKernel
 from .kernel import (
@@ -31,6 +30,9 @@ from .kernel import (
     oscillatory_tail_integral,
 )
 from .signals import AnalogDelay, SampledSignal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
@@ -110,6 +112,8 @@ class TransferFunctionSamples:
             raise ValueError("grid endpoints must be finite")
         if not self.xi_min < self.xi_max:
             raise ValueError("grid must satisfy xi_min < xi_max")
+        import numpy as np
+
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least two samples")
@@ -123,6 +127,8 @@ class TransferFunctionSamples:
         return len(self.values)
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.xi_min, self.xi_max, len(self.values))
 
 
@@ -131,6 +137,8 @@ def impulse_response(band: BandpassInterval, t):
 
     Stable product form; at t = 0 it returns (b - a) / sqrt(2 pi) exactly.
     """
+    import numpy as np
+
     _require_analog(band)
     c = band.bandwidth
     t_arr = np.asarray(t, dtype=np.float64)
@@ -154,6 +162,8 @@ class AnalogImpulseResponse:
         return impulse_response(self.band, t)
 
     def sample(self, t0: float, dt: float, n: int) -> SampledSignal:
+        import numpy as np
+
         values = impulse_response(self.band, t0 + dt * np.arange(n))
         return SampledSignal(t0, dt, values)
 
@@ -289,6 +299,8 @@ def real_transfer_report(samples: TransferFunctionSamples) -> ApproximationRepor
     convention).  Rejects inputs whose imaginary part exceeds
     1e-14 * max|H|.
     """
+    import numpy as np
+
     vals = samples.values
     sup = float(np.max(np.abs(vals)))
     if sup > 0.0 and float(np.max(np.abs(vals.imag))) > 1e-14 * sup:
@@ -315,6 +327,8 @@ def memoryless_angle_check(h_samples: SampledSignal) -> float:
     boundary sample at t = 0 counts as causal.  Requires a time grid that is
     symmetric about 0; raises ZeroKernel for the zero signal.
     """
+    import numpy as np
+
     t_last = h_samples.t0 + (len(h_samples) - 1) * h_samples.dt
     if abs(h_samples.t0 + t_last) > 0.5 * h_samples.dt:
         raise DomainError("samples must sit on a grid symmetric about t = 0")
@@ -373,6 +387,8 @@ def paley_wiener_diagnostic(samples: TransferFunctionSamples) -> PaleyWienerDiag
     genuinely vanishing H makes the clamped integral grow linearly in
     -log(floor) while an integrable log levels off.
     """
+    import numpy as np
+
     grid = samples.grid()
     mag = np.abs(samples.values)
     weight = 1.0 + grid * grid

@@ -20,9 +20,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import analog, digital, verify
+from . import analog, digital
 from .errors import DomainError
 from .kernel import BandpassInterval, QuadratureConfig
 from .operators import truncate_to_delay, truncate_to_delay_analog
@@ -50,8 +48,8 @@ def _scalar(x) -> str:
         return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     if isinstance(x, float):
         return _num(x)
     if isinstance(x, str):
@@ -156,7 +154,9 @@ def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | Non
 def cmd_analog(args) -> int:
     band = _band("analog", args.a, args.b)
     if band is None:
-        return _fail(f"invalid analog band [{args.a!r}, {args.b!r}]: need a < b", 2)
+        return _fail(
+            f"invalid analog band [{args.a!r}, {args.b!r}]: need a < b and a finite b - a", 2
+        )
     try:
         cfg = _quad_cfg(args)
     except ValueError as exc:
@@ -243,10 +243,23 @@ def _sweep_rows(args, params) -> list | int:
     return rows
 
 
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """numpy.linspace(lo, hi, steps) by its own formula, point for point."""
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        points = [lo + i / div * delta for i in range(steps)]
+    else:
+        points = [lo + i * step for i in range(steps)]
+    points[-1] = hi
+    return points
+
+
 def cmd_sweep(args) -> int:
     lo, hi = args.range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        return _fail("range must satisfy LO < HI", 2)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        return _fail("range must satisfy LO < HI with a finite HI - LO", 2)
     if not 2 <= args.steps <= _MAX_ROWS:
         return _fail(f"need between 2 and {_MAX_ROWS} steps", 2)
     if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
@@ -254,7 +267,7 @@ def cmd_sweep(args) -> int:
     samples = args.delay_samples
     if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
         return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
-    rows = _sweep_rows(args, np.linspace(lo, hi, args.steps))
+    rows = _sweep_rows(args, _linspace(lo, hi, args.steps))
     if isinstance(rows, int):
         return rows
     lines = ["param,distance,angle,kernel_norm,method,error_estimate"]
@@ -270,7 +283,7 @@ def cmd_impulse(args) -> int:
     if args.mode == "analog":
         band = _band("analog", args.a, args.b)
         if band is None:
-            return _fail("invalid analog band: need a < b", 2)
+            return _fail("invalid analog band: need a < b and a finite b - a", 2)
         if args.t_max is None or args.dt is None:
             return _fail("analog impulse needs --t-max and --dt", 2)
         if not (args.t_max > 0.0 and args.dt > 0.0):
@@ -311,6 +324,8 @@ def cmd_impulse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     seed = args.seed
     if seed is None:
         try:

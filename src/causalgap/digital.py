@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analog import ApproximationReport
 from .errors import DomainError, NegativeRadicand
 from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
 from .signals import DigitalDelay, DigitalSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FourierCoefficientTable",
@@ -56,6 +58,8 @@ class FourierCoefficientTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient table must be a nonempty vector")
@@ -66,6 +70,8 @@ class FourierCoefficientTable:
     @classmethod
     def build(cls, band: BandpassInterval, k_min: int, k_max: int) -> "FourierCoefficientTable":
         """Table of c_k for k_min <= k <= k_max inclusive."""
+        import numpy as np
+
         _require_digital(band)
         if k_max < k_min:
             raise ValueError("need k_min <= k_max")
@@ -84,6 +90,8 @@ class FourierCoefficientTable:
         return len(self.values)
 
     def indices(self) -> np.ndarray:
+        import numpy as np
+
         return self.k_min + np.arange(len(self.values))
 
     def coefficient(self, k: int) -> complex:
@@ -93,6 +101,8 @@ class FourierCoefficientTable:
 
     def energy(self) -> float:
         """sum |c_k|^2 over the table window."""
+        import numpy as np
+
         return float(np.sum(np.abs(self.values) ** 2))
 
     def parseval_defect(self) -> float:

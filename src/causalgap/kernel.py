@@ -9,7 +9,7 @@ of width c.  This module provides the kernel itself, its tail integral
 oscillatory_tail_integral behind every analog distance, a self-contained
 adaptive quadrature, and oscillatory_tail_sum, the one route to the tail sums
 of the squared Fourier coefficients (1 - cos(k c)) / (pi k^2) behind every
-digital distance.  Everything is pure Python and numpy.
+digital distance.  Everything is pure Python.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 #: 2 pi - TWO_PI, so that TWO_PI + _TWO_PI_LO carries 2 pi to twice the precision
@@ -57,6 +55,8 @@ class BandpassInterval:
             raise ValueError("band edges must be finite")
         if not self.a < self.b:
             raise ValueError(f"band edges must satisfy a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"band width b - a overflows, got [{self.a}, {self.b}]")
         if self.mode not in ("analog", "digital"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "digital" and not (0.0 < self.a and self.b < TWO_PI):
@@ -70,7 +70,11 @@ class BandpassInterval:
 
     @property
     def center(self) -> float:
-        return 0.5 * (self.a + self.b)
+        # halving each edge first keeps a + b from overflowing, but it
+        # rounds differently where an edge is subnormal, so it is only the
+        # fallback
+        mid = 0.5 * (self.a + self.b)
+        return mid if math.isfinite(mid) else 0.5 * self.a + 0.5 * self.b
 
     @classmethod
     def analog(cls, a: float, b: float) -> "BandpassInterval":
@@ -452,7 +456,9 @@ def oscillatory_tail_sum(c: float, first: int) -> float:
         tail = _trigamma(a) - _lerch_cos_sum(rho, a)
     if first >= _SERIES_MIN_INDEX:
         return tail
-    k = np.arange(first, _SERIES_MIN_INDEX, dtype=np.float64)
-    s = np.sin(0.5 * rho * k)
-    head = 2.0 * s * s / (k * k)
-    return math.fsum([tail, *head.tolist()])
+    h = 0.5 * rho
+    terms = [tail]
+    for k in map(float, range(first, _SERIES_MIN_INDEX)):
+        s = math.sin(h * k)
+        terms.append(2.0 * s * s / (k * k))
+    return math.fsum(terms)

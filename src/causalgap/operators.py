@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GridMismatch, ZeroKernel
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 
@@ -33,6 +31,8 @@ __all__ = [
 
 def convolve_digital(h: DigitalSequence, f: DigitalSequence) -> DigitalSequence:
     """Full convolution of two finitely supported sequences; offsets add."""
+    import numpy as np
+
     vals = np.convolve(h.values, f.values)
     return DigitalSequence(h.offset + f.offset, vals)
 
@@ -43,6 +43,8 @@ def convolve_analog(h: SampledSignal, f: SampledSignal) -> SampledSignal:
     Both signals must share the same dt exactly; the discrete convolution is
     scaled by dt so it approximates the continuous integral.
     """
+    import numpy as np
+
     if h.dt != f.dt:
         raise GridMismatch(f"sample steps differ: {h.dt!r} vs {f.dt!r}")
     vals = h.dt * np.convolve(h.values, f.values)
@@ -51,6 +53,8 @@ def convolve_analog(h: SampledSignal, f: SampledSignal) -> SampledSignal:
 
 def matched_input(h: DigitalSequence) -> DigitalSequence:
     """Unit-norm input maximizing |(h * f)[0]|: reversed conjugate of h."""
+    import numpy as np
+
     norm = h.norm()
     if norm == 0.0:
         raise ZeroKernel("matched input of the zero kernel is undefined")
@@ -83,6 +87,8 @@ def operator_norm_estimate(
     plus a margin of 2 len(h); they exercise the inequality direction and
     their raw ratios are exposed for inspection.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("need at least one trial")
     norm = h.norm()

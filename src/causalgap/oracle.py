@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analog import delayed_distance_si, impulse_response
 from .digital import _band_of_width, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
@@ -59,6 +57,8 @@ def analog_distance_oracle(
     sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); everything the
     grid cannot see beyond -R has energy at most 2 / (pi R).
     """
+    import numpy as np
+
     if band.mode != "analog":
         raise ValueError("expected an analog band")
     if not dt > 0.0:
@@ -87,6 +87,8 @@ def digital_distance_oracle(
     c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k) evaluated literally; the
     indices beyond K contribute at most 2/(K pi) / (2 pi) in energy.
     """
+    import numpy as np
+
     if band.mode != "digital":
         raise ValueError("expected a digital band")
     N = delay.N

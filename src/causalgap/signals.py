@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["AnalogDelay", "DigitalDelay", "SampledSignal", "DigitalSequence"]
 
@@ -33,6 +35,8 @@ class DigitalDelay:
 
 
 def _as_complex_array(values) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
@@ -60,10 +64,14 @@ class SampledSignal:
         return len(self.values)
 
     def times(self) -> np.ndarray:
+        import numpy as np
+
         return self.t0 + self.dt * np.arange(len(self.values))
 
     def energy(self) -> float:
         """dt-weighted squared l2 norm, the Riemann proxy for the L2 energy."""
+        import numpy as np
+
         return self.dt * float(np.sum(np.abs(self.values) ** 2))
 
     def norm(self) -> float:
@@ -86,9 +94,13 @@ class DigitalSequence:
         return len(self.values)
 
     def indices(self) -> np.ndarray:
+        import numpy as np
+
         return self.offset + np.arange(len(self.values))
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.values))
 
     def shifted(self, m: int) -> "DigitalSequence":

@@ -397,7 +397,12 @@ SUITES: dict[str, tuple] = {
 
 
 def run_checks(suite: str, seed: int = 0) -> list[CheckResult]:
-    """Run one suite ("analog", "digital", "operators") or "all"."""
+    """Run one suite ("analog", "digital", "operators") or "all".
+
+    The seed must be nonnegative, as numpy's generators require.
+    """
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:

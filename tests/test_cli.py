@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import mpref
 
@@ -35,47 +36,48 @@ def run_main(capsys, *args):
     return code, captured.out, captured.err
 
 
+#: (golden file, argv) for every byte-pinned CLI output
+GOLDEN_CASES = [
+    ("analog_causal.json", ("analog", "--a", "0", "--b", "2")),
+    (
+        "analog_causal.txt",
+        ("analog", "--a", "0", "--b", "2", "--format", "text"),
+    ),
+    (
+        "digital_causal.json",
+        ("digital", "--a", "1.5707963267948966", "--b", "4.71238898038469"),
+    ),
+    (
+        "digital_delayed.json",
+        ("digital", "--a", "2", "--b", "4", "--delay-samples", "3"),
+    ),
+    ("coeffs.csv", ("digital", "--a", "2", "--b", "4", "--coeffs", "3")),
+    (
+        "impulse_digital.csv",
+        (
+            "impulse", "--mode", "digital", "--a", "2", "--b", "4",
+            "--window", "4", "--delay-samples", "1",
+        ),
+    ),
+    (
+        "impulse_analog.csv",
+        (
+            "impulse", "--mode", "analog", "--a", "0", "--b", "2",
+            "--t-max", "0.02", "--dt", "0.01",
+        ),
+    ),
+    (
+        "sweep_digital_delay.csv",
+        (
+            "sweep", "--mode", "digital", "--vary", "delay",
+            "--range", "0", "4", "--steps", "5", "--a", "2", "--b", "4",
+        ),
+    ),
+]
+
+
 class TestGoldenOutputs:
-    @pytest.mark.parametrize(
-        "name, args",
-        [
-            ("analog_causal.json", ("analog", "--a", "0", "--b", "2")),
-            (
-                "analog_causal.txt",
-                ("analog", "--a", "0", "--b", "2", "--format", "text"),
-            ),
-            (
-                "digital_causal.json",
-                ("digital", "--a", "1.5707963267948966", "--b", "4.71238898038469"),
-            ),
-            (
-                "digital_delayed.json",
-                ("digital", "--a", "2", "--b", "4", "--delay-samples", "3"),
-            ),
-            ("coeffs.csv", ("digital", "--a", "2", "--b", "4", "--coeffs", "3")),
-            (
-                "impulse_digital.csv",
-                (
-                    "impulse", "--mode", "digital", "--a", "2", "--b", "4",
-                    "--window", "4", "--delay-samples", "1",
-                ),
-            ),
-            (
-                "impulse_analog.csv",
-                (
-                    "impulse", "--mode", "analog", "--a", "0", "--b", "2",
-                    "--t-max", "0.02", "--dt", "0.01",
-                ),
-            ),
-            (
-                "sweep_digital_delay.csv",
-                (
-                    "sweep", "--mode", "digital", "--vary", "delay",
-                    "--range", "0", "4", "--steps", "5", "--a", "2", "--b", "4",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name, args", GOLDEN_CASES)
     def test_matches_golden(self, name, args):
         proc = run_cli(*args)
         assert proc.returncode == 0, proc.stderr
@@ -364,12 +366,36 @@ class TestExitCodes:
             ("analog", "--a", "0", "--b", "1", "--delay", "1", "--quad-tol", "nan"),
             ("analog", "--a", "0", "--b", "1", "--delay", "1",
              "--max-subdivisions", str(2**20 + 1)),
+            # finite edges whose width overflows: kernel_norm inf, or a
+            # ValueError traceback
+            ("analog", "--a=-1e308", "--b=1e308"),
+            ("analog", "--a=-1e308", "--b=1e308", "--delay", "1"),
+            ("impulse", "--mode", "analog", "--a=-1e308", "--b", "1e308",
+             "--t-max", "1", "--dt", "0.5"),
+            # a range whose width overflows put NaN on the grid
+            ("sweep", "--mode", "analog", "--vary", "bandwidth",
+             "--range", " -1e308", "1e308", "--steps", "3"),
+            ("sweep", "--mode", "analog", "--vary", "delay",
+             "--range", " -1e308", "1e308", "--steps", "3", "--a", "0", "--b", "1"),
+            ("sweep", "--mode", "analog", "--vary", "bandwidth",
+             "--range", " -inf", "1", "--steps", "3"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
         code, _, err = run_main(capsys, *args)
         assert code == 2
         assert "error" in err
+
+    def test_band_whose_edge_sum_overflows(self, capsys):
+        # the width 7e307 is finite; (a + b) / 2 overflowed
+        code, out, _ = run_main(
+            capsys, "impulse", "--mode", "analog", "--a", "1e308", "--b", "1.7e308",
+            "--t-max", "1", "--dt", "0.5",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_budget_exhaustion_exit_3_with_report(self, capsys):
         code, out, _ = run_main(
@@ -435,6 +461,20 @@ class TestVerifyCommand:
         code, _, err = run_main(capsys, "verify", "--suite", "operators")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["all", "analog", "digital", "operators"])
+    def test_negative_seed_exit_2(self, capsys, suite):
+        # numpy's generators raised ValueError for every suite but digital
+        code, out, err = run_main(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
+
+    def test_negative_env_seed_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALGAP_SEED", "-1")
+        code, _, err = run_main(capsys, "verify")
+        assert code == 2
+        assert "seed must be nonnegative" in err
+
 
 class TestWithoutScipy:
     def test_commands_run_with_scipy_blocked(self):
@@ -460,6 +500,65 @@ class TestWithoutScipy:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestWithoutNumpy:
+    """Reports and sweeps are scalar work and must not need numpy."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        script = "import sys, causalgap, causalgap.cli\nassert 'numpy' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_reports_and_sweeps_run_with_numpy_blocked(self):
+        goldens = [(name, args) for name, args in GOLDEN_CASES
+                   if not name.startswith(("coeffs", "impulse"))]
+        assert len(goldens) == 5
+        others = [
+            ("analog", "--a", "0", "--b", "2", "--delay", "1.5"),
+            ("analog", "--a", "0", "--b", "2", "--delay", "1", "--quad-tol", "1e-10"),
+            ("sweep", "--mode", "analog", "--vary", "delay",
+             "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"),
+            ("digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"),
+            ("digital", "--a", "2.9", "--b", "2.916", "--delay-samples", "295"),
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "0.25", "6", "--steps", "24", "--delay-samples", "16"),
+        ]
+        # None in sys.modules makes every import of numpy fail
+        script = (
+            "import contextlib, io, math, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from pathlib import Path\n"
+            "from causalgap import BandpassInterval, cli, limit_probe\n"
+            f"golden = Path({str(GOLDEN)!r})\n"
+            "def run(argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(list(argv)) == 0, argv\n"
+            "    return out.getvalue()\n"
+            f"for name, argv in {goldens!r}:\n"
+            "    assert run(argv) == (golden / name).read_text(), name\n"
+            f"for argv in {others!r}:\n"
+            "    run(argv)\n"
+            "for quantity, band, ladder in (\n"
+            "        ('dT_vs_T', BandpassInterval.analog(0.0, 2.0), [1.0, 2.0, 4.0, 8.0]),\n"
+            "        ('thetaN_vs_N', BandpassInterval.digital(2.0, 4.0), [1, 3, 300, 1000])):\n"
+            "    probe = limit_probe(quantity, ladder, band=band)\n"
+            "    assert all(math.isfinite(v) for _, v in probe.rows), probe\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [(0.0, 4.0, 5), (0.25, 6.0, 24), (0.0, 50.0, 21), (-3.7, 1e-3, 1000),
+         (1e-300, 1e300, 7), (0.0, 5e-323, 100)],
+    )
+    def test_matches_numpy_linspace(self, lo, hi, steps):
+        # in the last case the step underflows to zero
+        assert cli._linspace(lo, hi, steps) == np.linspace(lo, hi, steps).tolist()
 
 
 class TestDeterminism:

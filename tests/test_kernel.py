@@ -58,6 +58,17 @@ class TestBandpassInterval:
         with pytest.raises(ValueError):
             BandpassInterval(0.0, 1.0, mode="mixed")
 
+    def test_rejects_overflowing_width(self):
+        with pytest.raises(ValueError):
+            BandpassInterval.analog(-1e308, 1e308)
+        with pytest.raises(ValueError):
+            BandpassInterval.analog(-9e307, 9e307)
+
+    def test_center_is_finite_and_keeps_its_rounding(self):
+        assert BandpassInterval.analog(1e308, 1.7e308).center == 1.35e308
+        # halving each subnormal edge first would round to 5e-324
+        assert BandpassInterval.analog(5e-324, 1e-323).center == 1e-323
+
 
 class TestConfigs:
     def test_quadrature_config_defaults(self):
@@ -322,6 +333,19 @@ class TestOscillatoryTailSum:
         for c in (0.05, 1.0, math.pi, TWO_PI - 1e-6):
             tails = [oscillatory_tail_sum(c, first) for first in range(1, 257)]
             assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
+    def test_head_matches_array_form_bit_for_bit(self):
+        # the head in the order an array evaluation takes: sin(0.5 rho k)
+        # for float k, then 2 s^2 / k^2, all terms in one exact sum
+        rng = np.random.default_rng(8)
+        for c, first in zip(rng.uniform(1e-6, TWO_PI - 1e-6, 40), rng.integers(1, 300, 40)):
+            first = int(first)
+            rho = kernel._fold_bandwidth(c)
+            k = np.arange(first, 256, dtype=np.float64)
+            s = np.sin(0.5 * rho * k)
+            tail = oscillatory_tail_sum(c, max(first, 256))
+            expected = math.fsum([tail, *(2.0 * s * s / (k * k)).tolist()])
+            assert oscillatory_tail_sum(c, first) == expected
 
     def test_against_literal_partial_sum(self):
         # a million literal terms plus the 1/k^2 comparison bound on the rest
