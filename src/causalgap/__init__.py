@@ -20,13 +20,7 @@ from .errors import (
     NonRealInput,
     ZeroKernel,
 )
-from .kernel import (
-    BandpassInterval,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_adaptive,
-    oscillatory_kernel,
-)
+from .kernel import BandpassInterval
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 from .analog import (
     AnalogImpulseResponse,
@@ -40,7 +34,6 @@ from .analog import (
     memoryless_angle_check,
     paley_wiener_diagnostic,
     real_transfer_report,
-    truncation_energy_quadrature,
 )
 from .digital import (
     FourierCoefficientTable,
@@ -85,8 +78,6 @@ __all__ = [
     "NormEstimate",
     "OracleDistance",
     "PaleyWienerDiagnostic",
-    "QuadratureConfig",
-    "QuadratureResult",
     "SampledSignal",
     "TransferFunctionSamples",
     "ZeroKernel",
@@ -102,16 +93,13 @@ __all__ = [
     "delayed_report_digital",
     "digital_distance_oracle",
     "impulse_response",
-    "integrate_adaptive",
     "limit_probe",
     "matched_input",
     "memoryless_angle_check",
     "operator_norm_estimate",
-    "oscillatory_kernel",
     "paley_wiener_diagnostic",
     "real_transfer_report",
     "truncate_to_delay",
     "truncate_to_delay_analog",
-    "truncation_energy_quadrature",
     "__version__",
 ]

@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NonRealInput, ZeroKernel
-from .kernel import (
-    TWO_PI,
-    BandpassInterval,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_adaptive,
-    oscillatory_kernel,
-    oscillatory_tail_integral,
-)
+from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral
 from .signals import AnalogDelay, SampledSignal
 
 if TYPE_CHECKING:
@@ -53,7 +45,6 @@ __all__ = [
     "causal_report",
     "delayed_report",
     "delayed_distance_si",
-    "truncation_energy_quadrature",
     "real_transfer_report",
     "memoryless_angle_check",
     "paley_wiener_diagnostic",
@@ -67,8 +58,9 @@ class ApproximationReport:
 
     distance is the norm of the part of the kernel the subspace cannot
     represent, angle = arcsin(distance / kernel_norm) (0 for the zero
-    kernel by convention).  converged=False flags a quadrature that hit its
-    subdivision budget; the numbers are still the best available.
+    kernel by convention).  Every report comes from a closed form, so
+    converged is always true; it stays a field because report schema 1
+    prints it.
     """
 
     kernel_norm: float
@@ -191,34 +183,15 @@ def causal_report(band: BandpassInterval) -> ApproximationReport:
     )
 
 
-def truncation_energy_quadrature(
-    band: BandpassInterval, T: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
-    """Kernel mass over [-T, T] by adaptive quadrature."""
-    _require_analog(band)
-    if T == 0.0:
-        return QuadratureResult(0.0, 0.0, True, 0)
-    c = band.bandwidth
-    return integrate_adaptive(lambda t: oscillatory_kernel(c, t), -T, T, cfg)
-
-
-def delayed_report(
-    band: BandpassInterval,
-    delay: AnalogDelay,
-    cfg: QuadratureConfig | None = None,
-) -> ApproximationReport:
+def delayed_report(band: BandpassInterval, delay: AnalogDelay) -> ApproximationReport:
     """Distance and angle to the filters allowed to look ahead by T.
 
     distance(T)^2 is the kernel mass beyond T, F(cT) / (pi T) with
     F(x) = 1 - Re E_2(i x) (kernel.oscillatory_tail_integral), reported as
     "ClosedForm" with error_estimate 0: F is evaluated without cancellation,
     so the relative error stays at rounding level for every cT, at a cost
-    that does not grow with T.  Passing cfg asks for the adaptive quadrature
-    route instead: distance(T)^2 = (b - a)/2 - (1/2) integral over [-T, T]
-    of kappa, reported as "Quadrature" with its error estimate and converged
-    flag, and cross-checked against the closed-form mass c - (2/pi) F(cT)/T
-    (the two must agree within their combined error budgets or the
-    computation aborts).  T = 0 returns the causal closed form unchanged.
+    that does not grow with T.  T = 0 returns the causal closed form
+    unchanged.
     """
     _require_analog(band)
     c = band.bandwidth
@@ -227,8 +200,6 @@ def delayed_report(
         # empty window; zero look-ahead IS the causal subspace, so the
         # closed-form causal report is the exact answer
         return causal_report(band)
-    if cfg is not None:
-        return _quadrature_report(band, T, cfg)
     dist = delayed_distance_si(band, delay)
     norm = math.sqrt(c)
     return ApproximationReport(
@@ -242,52 +213,24 @@ def delayed_report(
     )
 
 
-def _quadrature_report(
-    band: BandpassInterval, T: float, cfg: QuadratureConfig
-) -> ApproximationReport:
-    c = band.bandwidth
-    quad = truncation_energy_quadrature(band, T, cfg)
-    mass_closed = c - 2.0 * oscillatory_tail_integral(c, T) / math.pi
-    cross_tol = max(1e-7 * (1.0 + c), 100.0 * (quad.error_estimate + 1e-12 * (1.0 + c)))
-    if abs(quad.value - mass_closed) > cross_tol:
-        raise RuntimeError(
-            f"quadrature and closed-form truncation energies disagree: "
-            f"{quad.value!r} vs {mass_closed!r}"
-        )
-
-    d2 = 0.5 * c - 0.5 * quad.value
-    e2 = 0.5 * quad.error_estimate
-    if d2 < 0.0:
-        if d2 < -(e2 + 1e-12):
-            raise RuntimeError(f"squared distance {d2!r} negative beyond tolerance")
-        d2 = 0.0
-    dist = math.sqrt(d2)
-    norm = math.sqrt(c)
-    angle = math.asin(min(1.0, dist / norm))
-    err = e2 / (2.0 * dist) if dist > math.sqrt(e2) else math.sqrt(e2)
-    return ApproximationReport(
-        kernel_norm=norm,
-        distance=dist,
-        angle=angle,
-        subspace="Delayed",
-        method="Quadrature",
-        error_estimate=err,
-        delay=T,
-        converged=quad.converged,
-    )
-
-
 def delayed_distance_si(band: BandpassInterval, delay: AnalogDelay) -> float:
     """Distance to the filters with look-ahead T, from the closed form.
 
     sqrt of (1/pi) integral_T^inf (1 - cos(c t)) / t^2 dt
-    (kernel.oscillatory_tail_integral); sqrt(c/2) at T = 0.
+    (kernel.oscillatory_tail_integral); sqrt(c/2) at T = 0.  Where the tail
+    overflows, which happens for c above about 1.14e308 while cT < 4, it is
+    scaled from width 1 instead: tail(c, T) = c tail(1, cT).
     """
     _require_analog(band)
     c = band.bandwidth
-    if delay.T == 0.0:
+    T = delay.T
+    if T == 0.0:
         return math.sqrt(0.5 * c)
-    return math.sqrt(oscillatory_tail_integral(c, delay.T) / math.pi)
+    tail = oscillatory_tail_integral(c, T)
+    if math.isinf(tail):
+        # tail(1, cT) / pi <= 1/2, so the product stays finite
+        return math.sqrt(c * (oscillatory_tail_integral(1.0, c * T) / math.pi))
+    return math.sqrt(tail / math.pi)
 
 
 def real_transfer_report(samples: TransferFunctionSamples) -> ApproximationReport:

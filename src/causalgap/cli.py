@@ -1,11 +1,10 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters (also a table or sweep of more than _MAX_ROWS rows, a
-look-ahead beyond _MAX_DELAY_SAMPLES, or a --max-subdivisions above
-_MAX_SUBDIVISIONS), 3 a quadrature asked for with
---quad-tol or --max-subdivisions hit its subdivision budget (the report is
-still printed, with converged=false), 4 unwritable output path.
+parameters (also a table or sweep of more than _MAX_ROWS rows, or a
+look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output path.  Code 3
+is not used.  An option value may be a negative number in any float syntax,
+such as --a -1e-3 or --range -inf 1.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given
@@ -18,11 +17,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import analog, digital
 from .errors import DomainError
-from .kernel import BandpassInterval, QuadratureConfig
+from .kernel import BandpassInterval
 from .operators import truncate_to_delay, truncate_to_delay_analog
 from .signals import AnalogDelay, DigitalDelay
 
@@ -33,8 +33,12 @@ _MAX_ROWS = 10**6
 #: largest digital look-ahead: the tail sums start at N + 1, which must stay
 #: exact in double precision
 _MAX_DELAY_SAMPLES = 2**53 - 1
-#: largest --max-subdivisions; the quadrature keeps one heap entry per panel
-_MAX_SUBDIVISIONS = 2**20
+
+#: a negative float literal: argparse's own pattern has no exponent and no
+#: infinity, so it took -1e-3 or -inf for an option name
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -127,20 +131,6 @@ def _print_report(mode: str, band: BandpassInterval, rep, fmt: str) -> None:
         print(f"{key:15} {text}")
 
 
-def _quad_cfg(args) -> QuadratureConfig | None:
-    if args.quad_tol is None and args.max_subdivisions is None:
-        return None
-    kwargs = {}
-    if args.quad_tol is not None:
-        kwargs["abs_tolerance"] = args.quad_tol
-        kwargs["rel_tolerance"] = args.quad_tol
-    if args.max_subdivisions is not None:
-        if args.max_subdivisions > _MAX_SUBDIVISIONS:
-            raise ValueError(f"max-subdivisions must not exceed {_MAX_SUBDIVISIONS}")
-        kwargs["max_subdivisions"] = args.max_subdivisions
-    return QuadratureConfig(**kwargs)
-
-
 def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | None:
     """The band [a, b], or None when an edge is missing or the band is invalid."""
     if a is None or b is None:
@@ -157,18 +147,14 @@ def cmd_analog(args) -> int:
         return _fail(
             f"invalid analog band [{args.a!r}, {args.b!r}]: need a < b and a finite b - a", 2
         )
-    try:
-        cfg = _quad_cfg(args)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
     if args.delay is None:
         rep = analog.causal_report(band)
     else:
         if not (math.isfinite(args.delay) and args.delay >= 0.0):
             return _fail("delay must be a nonnegative real", 2)
-        rep = analog.delayed_report(band, AnalogDelay(args.delay), cfg)
+        rep = analog.delayed_report(band, AnalogDelay(args.delay))
     _print_report("analog", band, rep, args.format)
-    return 0 if rep.converged else 3
+    return 0
 
 
 def cmd_digital(args) -> int:
@@ -220,8 +206,8 @@ def _sweep_rows(args, params) -> list | int:
             if args.vary == "bandwidth":
                 try:
                     band = digital._band_of_width(p)
-                except DomainError:
-                    return _fail("digital bandwidth values must lie in (0, 2*pi)", 2)
+                except DomainError as exc:
+                    return _fail(str(exc), 2)
                 if args.delay_samples is None:
                     rep = digital.causal_report_digital(band)
                 else:
@@ -286,8 +272,8 @@ def cmd_impulse(args) -> int:
             return _fail("invalid analog band: need a < b and a finite b - a", 2)
         if args.t_max is None or args.dt is None:
             return _fail("analog impulse needs --t-max and --dt", 2)
-        if not (args.t_max > 0.0 and args.dt > 0.0):
-            return _fail("need --t-max > 0 and --dt > 0", 2)
+        if not (0.0 < args.t_max < math.inf and 0.0 < args.dt < math.inf):
+            return _fail("need finite --t-max > 0 and --dt > 0", 2)
         steps = 2.0 * args.t_max / args.dt
         if not steps < _MAX_ROWS:
             return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
@@ -346,8 +332,19 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value.
+
+    Subparsers are built with the parent's class, so they inherit this too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalgap",
         description=(
             "Distances and angles between ideal bandpass filters and the "
@@ -360,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--a", type=float, required=True, help="lower band edge")
     pa.add_argument("--b", type=float, required=True, help="upper band edge")
     pa.add_argument("--delay", type=float, default=None, help="look-ahead T (causal if omitted)")
-    pa.add_argument("--quad-tol", type=float, default=None, help="evaluate by adaptive quadrature with this tolerance")
-    pa.add_argument("--max-subdivisions", type=int, default=None, help="evaluate by adaptive quadrature with this budget")
     pa.add_argument("--format", choices=("json", "text"), default="json")
     pa.set_defaults(func=cmd_analog)
 

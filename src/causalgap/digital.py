@@ -39,10 +39,18 @@ def _require_digital(band: BandpassInterval) -> None:
 
 
 def _band_of_width(c: float) -> BandpassInterval:
-    """The digital band of width c centred on pi; DomainError unless 0 < c < 2 pi."""
+    """The digital band of width c centred on pi; DomainError unless 0 < c < 2 pi.
+
+    Also DomainError where rounding collapses the band: below about ulp(pi)
+    both edges round to pi, and within about ulp(pi) of 2 pi the upper edge
+    rounds to 2 pi.
+    """
     if not 0.0 < c < TWO_PI:
         raise DomainError("digital bandwidth must lie in (0, 2 pi)")
-    return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
+    try:
+        return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
+    except ValueError as exc:
+        raise DomainError(f"digital bandwidth {c!r} has no band centred on pi: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,21 +5,19 @@ Everything downstream reduces to integrals or series over one even kernel,
     kappa_c(t) = (1 - cos(c t)) / (pi t^2),   kappa_c(0) = c^2 / (2 pi),
 
 which is the squared magnitude of the ideal band impulse response for a band
-of width c.  This module provides the kernel itself, its tail integral
-oscillatory_tail_integral behind every analog distance, a self-contained
-adaptive quadrature, and oscillatory_tail_sum, the one route to the tail sums
-of the squared Fourier coefficients (1 - cos(k c)) / (pi k^2) behind every
-digital distance.  Everything is pure Python.
+of width c.  This module provides the band type, oscillatory_tail_integral,
+the one route to the kernel's tail integral behind every analog distance,
+and oscillatory_tail_sum, the one route to the tail sums of the squared
+Fourier coefficients (1 - cos(k c)) / (pi k^2) behind every digital
+distance.  Everything is pure Python.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 TWO_PI = 2.0 * math.pi
 #: 2 pi - TWO_PI, so that TWO_PI + _TWO_PI_LO carries 2 pi to twice the precision
@@ -28,12 +26,8 @@ _TWO_PI_LO = 2.4492935982947064e-16
 __all__ = [
     "TWO_PI",
     "BandpassInterval",
-    "QuadratureConfig",
-    "QuadratureResult",
-    "oscillatory_kernel",
     "oscillatory_tail_integral",
     "oscillatory_tail_sum",
-    "integrate_adaptive",
 ]
 
 
@@ -83,50 +77,6 @@ class BandpassInterval:
     @classmethod
     def digital(cls, a: float, b: float) -> "BandpassInterval":
         return cls(float(a), float(b), "digital")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tolerance: float = 1e-10
-    rel_tolerance: float = 1e-10
-    max_subdivisions: int = 2**16
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tolerance > 0 and self.rel_tolerance >= 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value plus an honest error estimate.
-
-    converged=False means the subdivision budget ran out first; the value and
-    estimate are still the best available, callers decide how to flag it.
-    """
-
-    value: float
-    error_estimate: float
-    converged: bool
-    subdivisions: int
-
-
-def oscillatory_kernel(c: float, t: float) -> float:
-    """Evaluate (1 - cos(c t)) / (pi t^2), extended continuously at t = 0.
-
-    The 1 - cos is computed as 2 sin^2(c t / 2) so no cancellation occurs for
-    small arguments, and a short Taylor polynomial takes over below
-    |c t| < 1e-4.  Even in t exactly (only |t| and t^2 enter).
-    """
-    if not c > 0.0:
-        raise ValueError("bandwidth c must be positive")
-    x = c * abs(t)
-    if x < 1e-4:
-        x2 = x * x
-        return (c * c / TWO_PI) * (1.0 - x2 / 12.0 + x2 * x2 / 360.0)
-    s = math.sin(0.5 * x)
-    return 2.0 * s * s / (math.pi * t * t)
 
 
 _E2_MAX_STEPS = 200
@@ -200,125 +150,6 @@ def oscillatory_tail_integral(c: float, T: float) -> float:
     if x < 4.0:
         return c * _half_pi_minus_s(x)
     return (1.0 - _re_e2_imaginary(x)) / T
-
-
-# 15-point Kronrod extension of 7-point Gauss, positive abscissae.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-# panels forced before any refinement; a lone huge panel can hide a narrow
-# feature sitting on what the first bisection turns into a panel edge
-_INITIAL_PANELS = 32
-_RESYNC_EVERY = 4096
-
-
-def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    fc = f(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        pair = f(mid - dx) + f(mid + dx)
-        kron += _WGK[j] * pair
-        if j % 2 == 1:
-            gauss += _WG[j // 2] * pair
-    return kron * half, abs((kron - gauss) * half)
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig | None = None,
-) -> QuadratureResult:
-    """Globally adaptive Gauss-Kronrod 7/15 quadrature of f over [lo, hi].
-
-    The worst panel (by the Kronrod-Gauss difference) is bisected until the
-    summed estimates meet max(abs_tolerance, rel_tolerance * |value|) or the
-    subdivision budget runs out.  On exhaustion the best value is returned
-    with converged=False rather than raising; the estimate stays honest.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration bounds must be finite")
-    if hi < lo:
-        raise ValueError("integration bounds must satisfy lo <= hi")
-    if lo == hi:
-        return QuadratureResult(0.0, 0.0, True, 0)
-
-    n0 = min(_INITIAL_PANELS, cfg.max_subdivisions + 1)
-    heap = []
-    for i in range(n0):
-        a = lo + (hi - lo) * i / n0
-        b = lo + (hi - lo) * (i + 1) / n0 if i + 1 < n0 else hi
-        v, e = _gk15(f, a, b)
-        heap.append((-e, a, b, v, e))
-    heapq.heapify(heap)
-    splits = n0 - 1
-    total_v = math.fsum(item[3] for item in heap)
-    total_e = math.fsum(item[4] for item in heap)
-    stuck = 0
-    since_sync = 0
-
-    def tolerance() -> float:
-        return max(cfg.abs_tolerance, cfg.rel_tolerance * abs(total_v))
-
-    while True:
-        if total_e <= tolerance() or splits >= cfg.max_subdivisions or stuck >= len(heap):
-            # re-sum exactly before delivering a verdict
-            total_v = math.fsum(item[3] for item in heap)
-            total_e = math.fsum(item[4] for item in heap)
-            if total_e <= tolerance():
-                return QuadratureResult(total_v, total_e, True, splits)
-            if splits >= cfg.max_subdivisions or stuck >= len(heap):
-                return QuadratureResult(total_v, total_e, False, splits)
-        neg_e, a, b, pv, pe = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # panel width at rounding floor, cannot be split further
-            heapq.heappush(heap, (neg_e, a, b, pv, pe))
-            stuck += 1
-            continue
-        stuck = 0
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total_v += v1 + v2 - pv
-        total_e += e1 + e2 - pe
-        heapq.heappush(heap, (-e1, a, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, b, v2, e2))
-        splits += 1
-        since_sync += 1
-        if since_sync >= _RESYNC_EVERY:
-            total_v = math.fsum(item[3] for item in heap)
-            total_e = math.fsum(item[4] for item in heap)
-            since_sync = 0
 
 
 #: B_2, B_4, ..., B_16

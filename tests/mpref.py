@@ -3,6 +3,10 @@
 Every float argument converts exactly, so the references are the distances
 of the very doubles the library receives.
 
+Kernel: kappa_c(t) = (1 - cos ct) / (pi t^2) = 2 sin^2(ct/2) / (pi t^2), and
+its mass over [-T, T] by mpmath quadrature, which shares nothing with the
+sine-integral closed forms below.
+
 Analog: d^2 = c/2 - (c Si(cT) - 2 sin^2(cT/2) / T) / pi (DLMF 6.2), with
 the working precision raised by the digits that form loses to cancellation.
 Digital: d^2 = (zeta(2, N+1) - Re[e^{i(N+1)c} Phi(e^{ic}, 2, N+1)]) / (2 pi^2)
@@ -17,6 +21,24 @@ import math
 import mpmath
 
 DPS = 40
+
+
+def kernel(c: float, t: float) -> mpmath.mpf:
+    """kappa_c(t), with its limit c^2 / (2 pi) at t = 0."""
+    with mpmath.workdps(DPS):
+        c = mpmath.mpf(c)
+        t = mpmath.mpf(t)
+        if t == 0:
+            return c**2 / (2 * mpmath.pi)
+        return 2 * mpmath.sin(c * t / 2) ** 2 / (mpmath.pi * t**2)
+
+
+def window_mass(c: float, T: float) -> mpmath.mpf:
+    """integral over [-T, T] of kappa_c, by quadrature over its half periods."""
+    with mpmath.workdps(DPS):
+        pieces = max(1, math.ceil(c * T / math.pi))
+        nodes = mpmath.linspace(0, mpmath.mpf(T), pieces + 1)
+        return 2 * mpmath.quad(lambda t: kernel(c, t), nodes)
 
 
 def analog_distance(c: float, T: float) -> mpmath.mpf:

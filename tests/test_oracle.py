@@ -192,6 +192,11 @@ class TestLimitProbe:
         assert probe.candidate_limit is None
         assert probe.reference_bracket is None
 
+    def test_bandwidth_below_ulp_of_pi_is_a_domain_error(self):
+        # the digital band is centred on pi, where both edges round to pi
+        with pytest.raises(DomainError):
+            limit_probe("theta_vs_bandwidth", (1e-300, 1e-299, 1e-298, 1e-297))
+
     def test_wide_band_probe_needs_analog_delay(self):
         with pytest.raises(DomainError):
             limit_probe("dT_vs_bandwidth", [1.0, 2.0, 4.0, 8.0])
