@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
 parameters (also a table or sweep of more than _MAX_ROWS rows, or a
 look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output path.  Code 3
-is not used.  An option value may be a negative number in any float syntax,
-such as --a -1e-3 or --range -inf 1.
+is not used.  An option value may be a negative number with an exponent or
+an infinity, such as --a -1e-3 or --range -inf 1.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given

@@ -486,7 +486,7 @@ class TestVerifyCommand:
 
 
 class TestNegativeNumbers:
-    """Option values in any float syntax, negative exponents included."""
+    """Negative option values with an exponent or an infinity."""
 
     @pytest.mark.parametrize(
         "args, reference",
