@@ -16,6 +16,7 @@ function.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -128,17 +129,107 @@ def impulse_response(band: BandpassInterval, t):
     """Ideal impulse response of the band at time t (scalar or array).
 
     Stable product form; at t = 0 it returns (b - a) / sqrt(2 pi) exactly.
+    Every finite value is bit for bit that of the literal
+    (c / sqrt(2 pi)) * np.sinc(c t / 2 pi) * np.exp(1j * center * t).  An
+    array is computed in blocks of _BLOCK points into one preallocated
+    output, and a long one is split across every CPU this process may run
+    on; np.errstate and warning filters act on every block as they do on
+    the caller's own thread.
     """
     import numpy as np
 
     _require_analog(band)
-    c = band.bandwidth
     t_arr = np.asarray(t, dtype=np.float64)
-    amp = (c / SQRT_TWO_PI) * np.sinc(c * t_arr / TWO_PI)
-    val = amp * np.exp(1j * band.center * t_arr)
-    if np.ndim(t) == 0:
-        return complex(val)
-    return val
+    flat = t_arr.reshape(-1)
+    out = _fill(band, flat.size, lambda lo, hi, buf: flat[lo:hi])
+    if t_arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(t_arr.shape)
+
+
+#: points per block: a block's few scratch rows stay in cache
+_BLOCK = 1 << 14
+#: most blocks one thread computes alone before the range is split
+_SERIAL_BLOCKS = 4
+
+
+def _fill(band: BandpassInterval, n: int, times) -> np.ndarray:
+    """h at n times into a new array; times(lo, hi, buf) gives t[lo:hi].
+
+    times may write its block into buf, a scratch row long enough for it.
+    Above _SERIAL_BLOCKS blocks the range is cut at block edges into one
+    part per usable CPU; the caller's thread computes the first part, and
+    each other part runs in a copy of the caller's context.
+    """
+    import numpy as np
+
+    out = np.empty(n, dtype=np.complex128)
+    blocks = -(-n // _BLOCK)
+    parts = min(_usable_cpus(), blocks) if blocks > _SERIAL_BLOCKS else 1
+    if parts == 1:
+        _fill_range(band, out, times, 0, n)
+        return out
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [min(n, _BLOCK * (blocks * i // parts)) for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, _fill_range, band, out, times, lo, hi)
+            for lo, hi in zip(edges[1:-1], edges[2:])
+        ]
+        _fill_range(band, out, times, edges[0], edges[1])
+        for future in futures:
+            future.result()
+    return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_range(band: BandpassInterval, out: np.ndarray, times, lo: int, hi: int) -> None:
+    """out[lo:hi] = h(times(lo, hi)), one block at a time.
+
+    Each step is the literal form's own operation on one block:
+    amp = (c / sqrt(2 pi)) * np.sinc(x) with x = c t / 2 pi, where np.sinc
+    takes y = pi x, puts eps where y is zero and divides sin(y) by y; the
+    phase exp(z) with z = 1j * center * t, whose real part is a signed zero
+    for finite t, so exp(z) = cos(z.imag) + i sin(z.imag); and numpy's
+    complex product amp * exp(z).
+    """
+    import numpy as np
+
+    c = band.bandwidth
+    scale = c / SQRT_TWO_PI
+    rot = 1j * band.center
+    lead = rot.real * 0.0  # z.imag = rot.real * 0 + rot.imag * t
+    eps = np.finfo(np.float64).eps
+    size = min(_BLOCK, hi - lo)
+    tbuf, x, amp = np.empty(size), np.empty(size), np.empty(size)
+    zero = np.empty(size, dtype=bool)
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        k = stop - start
+        t = times(start, stop, tbuf)
+        xk, ak, zk = x[:k], amp[:k], zero[:k]
+        np.multiply(t, c, out=xk)
+        np.divide(xk, TWO_PI, out=xk)
+        np.multiply(xk, np.pi, out=xk)
+        np.equal(xk, 0.0, out=zk)
+        np.copyto(xk, eps, where=zk)
+        np.sin(xk, out=ak)
+        np.divide(ak, xk, out=ak)
+        np.multiply(ak, scale, out=ak)
+        np.multiply(t, rot.imag, out=xk)
+        np.add(xk, lead, out=xk)
+        block = out[start:stop]
+        np.cos(xk, out=block.real)
+        np.sin(xk, out=block.imag)
+        np.multiply(ak, block, out=block)
 
 
 @dataclass(frozen=True)
@@ -154,10 +245,17 @@ class AnalogImpulseResponse:
         return impulse_response(self.band, t)
 
     def sample(self, t0: float, dt: float, n: int) -> SampledSignal:
+        """h at t0 + dt * j for j = 0 .. n-1, the grid SampledSignal.times() gives.
+
+        The grid is formed one block at a time, never in full.
+        """
         import numpy as np
 
-        values = impulse_response(self.band, t0 + dt * np.arange(n))
-        return SampledSignal(t0, dt, values)
+        def times(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+            t = np.multiply(np.arange(lo, hi, dtype=np.float64), dt, out=buf[: hi - lo])
+            return np.add(t, t0, out=t)
+
+        return SampledSignal(t0, dt, _fill(self.band, n, times))
 
 
 def _require_analog(band: BandpassInterval) -> None:

@@ -1,7 +1,8 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters (also a table or sweep of more than _MAX_ROWS rows, or a
+parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
+impulse grid on which c t or the band center times t overflows, or a
 look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output path.  Code 3
 is not used.  An option value may be a negative number with an exponent or
 an infinity, such as --a -1e-3 or --range -inf 1.
@@ -278,10 +279,14 @@ def cmd_impulse(args) -> int:
         if not steps < _MAX_ROWS:
             return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
         n = int(round(steps)) + 1
+        # the grid's times rise from -t-max, so the widest |t| is at an end
+        reach = max(args.t_max, -args.t_max + args.dt * (n - 1))
+        if not (math.isfinite(band.bandwidth * reach) and math.isfinite(band.center * reach)):
+            return _fail("c * t and the band center * t must stay finite on the grid", 2)
+        if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
+            return _fail("delay must be a nonnegative real", 2)
         sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
         if args.delay is not None:
-            if not (math.isfinite(args.delay) and args.delay >= 0.0):
-                return _fail("delay must be a nonnegative real", 2)
             sig = truncate_to_delay_analog(sig, AnalogDelay(args.delay))
         axis = sig.times()
         values = sig.values

@@ -10,7 +10,7 @@ bound, while Young's inequality caps any single probe from above.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass
 
 from .errors import GridMismatch, ZeroKernel
@@ -120,8 +120,14 @@ def truncate_to_delay(h: DigitalSequence, delay: DigitalDelay) -> DigitalSequenc
 
 
 def truncate_to_delay_analog(h: SampledSignal, delay: AnalogDelay) -> SampledSignal:
-    """Zero out every sample at time < -T; the boundary sample at -T survives."""
+    """Zero out every sample at time < -T; the boundary sample at -T survives.
+
+    The times t0 + dt * j rise with j, so the samples to zero are a prefix;
+    its length is found by bisecting that same expression.
+    """
+    cut = bisect.bisect_left(
+        range(len(h)), True, key=lambda j: not h.t0 + h.dt * j < -delay.T
+    )
     vals = h.values.copy()
-    t = h.times()
-    vals[t < -delay.T] = 0.0
+    vals[:cut] = 0.0
     return SampledSignal(h.t0, h.dt, vals)

@@ -1,6 +1,9 @@
 """Analog side: ideal band kernels, causal/delayed distances, diagnostics."""
 
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from causalgap import (
     paley_wiener_diagnostic,
     real_transfer_report,
 )
+from causalgap import analog as analog_module
 from causalgap.kernel import oscillatory_tail_integral
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -84,6 +88,104 @@ class TestImpulseResponse:
             impulse_response(band, 0.0)
         with pytest.raises(ValueError):
             causal_report(band)
+
+
+def _literal_response(band, t):
+    """The whole-array form impulse_response computes block by block."""
+    t = np.asarray(t, dtype=np.float64)
+    c = band.bandwidth
+    return (c / SQRT_TWO_PI) * np.sinc(c * t / (2.0 * math.pi)) * np.exp(1j * band.center * t)
+
+
+def _same_bits(got, want):
+    got = np.atleast_1d(np.asarray(got))
+    want = np.atleast_1d(np.asarray(want, dtype=np.complex128))
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+#: the sampled-truncation-energy grid of verify: 2,000,001 points, dt 1e-3
+_VERIFY_GRID = -1e3 + 1e-3 * np.arange(2_000_001)
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5])
+#: a signed-zero center and a width that scales to a subnormal amplitude
+_BANDS = (
+    BandpassInterval.analog(0.0, 2.0),
+    BandpassInterval.analog(-3.0, -0.5),
+    BandpassInterval.analog(-1.0, 1.0),
+    BandpassInterval.analog(-5e-324, 5e-324),
+)
+
+
+class TestBlockwiseImpulseResponse:
+    """Blocks, threads and the sampled grid change no bit of the literal form."""
+
+    @pytest.mark.parametrize("band", _BANDS, ids=str)
+    def test_every_input_shape_matches_the_literal_form(self, band):
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal((300, 70)) * 40.0
+        inputs = (
+            _VERIFY_GRID,
+            np.sort(rng.uniform(-1e4, 1e4, 100_003)),
+            _EDGES,
+            wide,
+            wide[::2, ::3],
+            _VERIFY_GRID[::7],
+        )
+        for t in inputs:
+            assert _same_bits(impulse_response(band, t), _literal_response(band, t))
+        for t in _EDGES:
+            value = impulse_response(band, float(t))
+            assert isinstance(value, complex)
+            assert _same_bits(value, complex(_literal_response(band, t)))
+
+    def test_sampled_grid_matches_the_literal_form(self):
+        band = BandpassInterval.analog(0.0, 2.0)
+        sig = AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2_000_001)
+        assert np.array_equal(sig.times(), _VERIFY_GRID)
+        assert _same_bits(sig.values, _literal_response(band, _VERIFY_GRID))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_worker_count_changes_no_bit(self, monkeypatch, cpus):
+        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: cpus)
+        band = BandpassInterval.analog(1.0, 4.0)
+        t = _VERIFY_GRID[:300_001]
+        assert _same_bits(impulse_response(band, t), _literal_response(band, t))
+        sig = AnalogImpulseResponse(band).sample(-150.0, 1e-3, 300_001)
+        assert _same_bits(sig.values, _literal_response(band, sig.times()))
+
+    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
+        # more callers than cores, each splitting its range, with frequent
+        # thread switches
+        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 3)
+        bands = [BandpassInterval.analog(-k, 1.0 + k) for k in range(6)]
+        t = _VERIFY_GRID[:200_000]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(bands)) as pool:
+                futures = [pool.submit(impulse_response, band, t) for band in bands]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for band, got in zip(bands, results):
+            assert _same_bits(got, _literal_response(band, t))
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["caller-part", "worker-part"])
+    def test_callers_errstate_reaches_every_part(self, monkeypatch, where):
+        # sin(inf) is an invalid operation, in the first part or the last
+        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 3)
+        band = BandpassInterval.analog(0.0, 2.0)
+        t = _VERIFY_GRID[:200_000].copy()
+        t[where] = math.inf
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                _literal_response(band, t)
+            with pytest.raises(FloatingPointError):
+                impulse_response(band, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                impulse_response(band, t)
 
 
 class TestCausalReport:

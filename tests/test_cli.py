@@ -378,6 +378,16 @@ class TestExitCodes:
             # an infinite step left one row and raised ValueError
             ("impulse", "--mode", "analog", "--a", "0", "--b", "1",
              "--t-max", "1", "--dt", "inf"),
+            # c * t or the band center * t overflowed on the grid: four
+            # RuntimeWarnings, then a ValueError traceback
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "1e308",
+             "--t-max", "4", "--dt", "2"),
+            ("impulse", "--mode", "analog", "--a", "1e308", "--b", "1.5e308",
+             "--t-max", "4", "--dt", "2"),
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "1e308",
+             "--t-max", "4", "--dt", "2", "--delay", "1"),
+            ("impulse", "--mode", "analog", "--a", "1e308", "--b", "1.5e308",
+             "--t-max", "4", "--dt", "2", "--delay", "1"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
@@ -571,6 +581,10 @@ class TestFuzz:
               "--range", "1e-300", "1e-9", "--steps", "3"])
     @example(["impulse", "--mode", "analog", "--a", "0", "--b", "1",
               "--t-max", "1", "--dt", "inf"])
+    @example(["impulse", "--mode", "analog", "--a", "0", "--b", "1e308",
+              "--t-max", "4", "--dt", "2"])
+    @example(["impulse", "--mode", "analog", "--a", "1e308", "--b", "1.5e308",
+              "--t-max", "4", "--dt", "2"])
     def test_every_argv_ends_in_an_exit_code(self, argv):
         # exit 0, 1, 2 or 4 and never a traceback; a JSON report is strict JSON
         out, err = io.StringIO(), io.StringIO()
@@ -614,6 +628,29 @@ class TestWithoutNumpy:
 
     def test_import_leaves_numpy_unloaded(self):
         script = "import sys, causalgap, causalgap.cli\nassert 'numpy' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_reports_and_sweeps_leave_the_thread_pool_unloaded(self):
+        # only a long impulse response loads the pool and starts threads
+        argvs = [
+            ["analog", "--a", "0", "--b", "2", "--delay", "1.5"],
+            ["digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"],
+            ["sweep", "--mode", "analog", "--vary", "delay",
+             "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"],
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "from causalgap import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "from causalgap import BandpassInterval, analog\n"
+            "analog._usable_cpus = lambda: 2\n"
+            "analog.AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-1.0, 1e-5, 200001)\n"
+            "assert 'concurrent.futures' in sys.modules\n"
+        )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

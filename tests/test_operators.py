@@ -172,6 +172,25 @@ class TestTruncateToDelayAnalog:
         assert np.all(out.values[t < -1.0] == 0.0)
         assert np.all(out.values[t >= -1.0] == 1.0)
 
+    @pytest.mark.parametrize(
+        "t0, dt, n, T",
+        [
+            (-2.0, 0.5, 9, 1.0),  # -T exactly on a sample
+            (-2.0, 0.5, 9, 1.2),  # -T between two samples
+            (-1.0, 0.1, 21, 0.3),  # between, where t0 + dt * j rounds near -T
+            (-2.0, 0.5, 9, 5.0),  # -T below t0: nothing is cut
+            (-10.0, 1.0, 5, 1.0),  # -T past the last sample: everything is cut
+            (-2.0, 0.5, 9, 0.0),  # T = 0
+            (-1e3, 1e-3, 2_000_001, 0.5),  # the sampled-truncation-energy grid
+        ],
+    )
+    def test_bisected_cut_matches_the_mask_form(self, t0, dt, n, T):
+        sig = SampledSignal(t0, dt, np.arange(1, n + 1, dtype=np.complex128))
+        out = truncate_to_delay_analog(sig, AnalogDelay(T))
+        want = sig.values.copy()
+        want[sig.times() < -T] = 0.0
+        assert np.array_equal(out.values, want)
+
     def test_sampled_residual_matches_delay_distance(self):
         band = BandpassInterval.analog(0.0, 2.0)
         T, dt, radius = 0.5, 1e-3, 1e3
