@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .errors import DomainError, NonRealInput, ZeroKernel
 from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral
 from .signals import AnalogDelay, SampledSignal
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(Frozen):
     """Best-approximation summary for one kernel against one subspace.
 
     distance is the norm of the part of the kernel the subspace cannot
@@ -64,24 +63,28 @@ class ApproximationReport:
     prints it.
     """
 
-    kernel_norm: float
-    distance: float
-    angle: float
-    subspace: str
-    method: str
-    error_estimate: float = 0.0
-    delay: float | int | None = None
-    converged: bool = True
+    __slots__ = ("kernel_norm", "distance", "angle", "subspace", "method",
+                 "error_estimate", "delay", "converged")
 
-    def __post_init__(self) -> None:
-        if self.kernel_norm < 0.0 or self.distance < 0.0:
+    def __init__(self, kernel_norm: float, distance: float, angle: float, subspace: str,
+                 method: str, error_estimate: float = 0.0,
+                 delay: float | int | None = None, converged: bool = True) -> None:
+        if kernel_norm < 0.0 or distance < 0.0:
             raise ValueError("norms and distances must be nonnegative")
-        if self.distance > self.kernel_norm * (1.0 + 1e-12) + 1e-300:
+        if distance > kernel_norm * (1.0 + 1e-12) + 1e-300:
             raise ValueError("distance cannot exceed the kernel norm")
-        if not -1e-12 <= self.angle <= 0.5 * math.pi + 1e-12:
+        if not -1e-12 <= angle <= 0.5 * math.pi + 1e-12:
             raise ValueError("angle must lie in [0, pi/2]")
-        if self.subspace not in ("Causal", "Delayed", "Memoryless"):
-            raise ValueError(f"unknown subspace {self.subspace!r}")
+        if subspace not in ("Causal", "Delayed", "Memoryless"):
+            raise ValueError(f"unknown subspace {subspace!r}")
+        object.__setattr__(self, "kernel_norm", kernel_norm)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "converged", converged)
 
     def consistency_error(self) -> float:
         """|distance - kernel_norm * sin(angle)|, zero up to rounding."""
@@ -92,28 +95,29 @@ class ApproximationReport:
         return math.degrees(self.angle)
 
 
-@dataclass(frozen=True, eq=False)
-class TransferFunctionSamples:
+class TransferFunctionSamples(Frozen):
     """Values of a transfer function on a uniform frequency grid."""
 
-    xi_min: float
-    xi_max: float
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("xi_min", "xi_max", "values")
+    _hidden = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.xi_min) and math.isfinite(self.xi_max)):
+    def __init__(self, xi_min: float, xi_max: float, values: np.ndarray) -> None:
+        if not (math.isfinite(xi_min) and math.isfinite(xi_max)):
             raise ValueError("grid endpoints must be finite")
-        if not self.xi_min < self.xi_max:
+        if not xi_min < xi_max:
             raise ValueError("grid must satisfy xi_min < xi_max")
         import numpy as np
 
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = np.asarray(values, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least two samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
+        object.__setattr__(self, "xi_min", xi_min)
+        object.__setattr__(self, "xi_max", xi_max)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -225,14 +229,14 @@ def _fill_range(band: BandpassInterval, out: np.ndarray, times, lo: int, hi: int
         np.multiply(ak, block, out=block)
 
 
-@dataclass(frozen=True)
-class AnalogImpulseResponse:
+class AnalogImpulseResponse(Frozen):
     """Callable wrapper around impulse_response for one fixed band."""
 
-    band: BandpassInterval
+    __slots__ = ("band",)
 
-    def __post_init__(self) -> None:
-        _require_analog(self.band)
+    def __init__(self, band: BandpassInterval) -> None:
+        _require_analog(band)
+        object.__setattr__(self, "band", band)
 
     def __call__(self, t):
         return impulse_response(self.band, t)
@@ -375,8 +379,7 @@ def memoryless_angle_check(h_samples: SampledSignal) -> float:
     return math.asin(ratio)
 
 
-@dataclass(frozen=True)
-class PaleyWienerDiagnostic:
+class PaleyWienerDiagnostic(Frozen):
     """Result of the log-integrability probe.
 
     ladder holds (floor, integral) pairs for the clamped integrals
@@ -389,11 +392,18 @@ class PaleyWienerDiagnostic:
     themselves decide the verdict.
     """
 
-    integral_estimate: float
-    vanishing_intervals: tuple[tuple[float, float], ...]
-    verdict: str
-    ladder: tuple[tuple[float, float], ...]
-    final_slope_per_decade: float
+    __slots__ = ("integral_estimate", "vanishing_intervals", "verdict", "ladder",
+                 "final_slope_per_decade")
+
+    def __init__(self, integral_estimate: float,
+                 vanishing_intervals: tuple[tuple[float, float], ...], verdict: str,
+                 ladder: tuple[tuple[float, float], ...],
+                 final_slope_per_decade: float) -> None:
+        object.__setattr__(self, "integral_estimate", integral_estimate)
+        object.__setattr__(self, "vanishing_intervals", vanishing_intervals)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "ladder", ladder)
+        object.__setattr__(self, "final_slope_per_decade", final_slope_per_decade)
 
 
 def _value_runs(mask: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
 parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
 impulse grid on which c t or the band center times t overflows, or a
-look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output path.  Code 3
+look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output (an --out path
+that cannot be opened, or a stdout whose reader has closed it).  Code 3
 is not used.  An option value may be a negative number with an exponent or
 an infinity, such as --a -1e-3 or --range -inf 1.
 
@@ -406,7 +407,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
+    return code
 
 
 if __name__ == "__main__":

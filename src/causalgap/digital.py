@@ -12,9 +12,9 @@ kernel.oscillatory_tail_sum(c, N + 1) / (2 pi^2), one route at every N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .analog import ApproximationReport
 from .errors import DomainError, NegativeRadicand
 from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
@@ -53,26 +53,27 @@ def _band_of_width(c: float) -> BandpassInterval:
         raise DomainError(f"digital bandwidth {c!r} has no band centred on pi: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class FourierCoefficientTable:
+class FourierCoefficientTable(Frozen):
     """Coefficients c_k of a band indicator for k in [k_min, k_min + len).
 
     Stable product form: c_0 = (b - a) / (2 pi) and, for k != 0,
     c_k = sin(k c / 2) / (pi k) * exp(-i k (a + b) / 2).
     """
 
-    band: BandpassInterval
-    k_min: int
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("band", "k_min", "values")
+    _hidden = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, band: BandpassInterval, k_min: int, values: np.ndarray) -> None:
         import numpy as np
 
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = np.asarray(values, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient table must be a nonempty vector")
         arr = arr.copy()
         arr.flags.writeable = False
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "k_min", k_min)
         object.__setattr__(self, "values", arr)
 
     @classmethod

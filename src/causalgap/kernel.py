@@ -17,7 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+
+from ._frozen import Frozen
 
 TWO_PI = 2.0 * math.pi
 #: 2 pi - TWO_PI, so that TWO_PI + _TWO_PI_LO carries 2 pi to twice the precision
@@ -31,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandpassInterval:
+class BandpassInterval(Frozen):
     """A frequency band [a, b], either on the real line or on the circle.
 
     Analog bands allow any finite a < b.  Digital bands must sit strictly
@@ -40,23 +40,24 @@ class BandpassInterval:
     code never sees an invalid band.
     """
 
-    a: float
-    b: float
-    mode: str = "analog"
+    __slots__ = ("a", "b", "mode")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, a: float, b: float, mode: str = "analog") -> None:
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("band edges must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"band edges must satisfy a < b, got [{self.a}, {self.b}]")
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"band width b - a overflows, got [{self.a}, {self.b}]")
-        if self.mode not in ("analog", "digital"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "digital" and not (0.0 < self.a and self.b < TWO_PI):
+        if not a < b:
+            raise ValueError(f"band edges must satisfy a < b, got [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise ValueError(f"band width b - a overflows, got [{a}, {b}]")
+        if mode not in ("analog", "digital"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "digital" and not (0.0 < a and b < TWO_PI):
             raise ValueError(
-                f"digital band must lie strictly inside (0, 2*pi), got [{self.a}, {self.b}]"
+                f"digital band must lie strictly inside (0, 2*pi), got [{a}, {b}]"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def bandwidth(self) -> float:

@@ -11,8 +11,8 @@ bound, while Young's inequality caps any single probe from above.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import GridMismatch, ZeroKernel
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 
@@ -62,17 +62,17 @@ def matched_input(h: DigitalSequence) -> DigitalSequence:
     return DigitalSequence(-(h.offset + len(h.values) - 1), vals)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(Frozen):
     """Two-sided operator-norm bracket with the per-probe output ratios."""
 
-    lower: float
-    upper: float
-    ratios: tuple[float, ...]
+    __slots__ = ("lower", "upper", "ratios")
 
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper * (1.0 + 1e-12):
+    def __init__(self, lower: float, upper: float, ratios: tuple[float, ...]) -> None:
+        if not lower <= upper * (1.0 + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "ratios", ratios)
 
 
 def operator_norm_estimate(

@@ -11,8 +11,8 @@ finite grid or index cutoff can miss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .analog import delayed_distance_si, impulse_response
 from .digital import _band_of_width, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
@@ -38,12 +38,14 @@ PROBE_QUANTITIES = (
 )
 
 
-@dataclass(frozen=True)
-class OracleDistance:
+class OracleDistance(Frozen):
     """Brute-force distance plus the analytic bound on the truncated part."""
 
-    value: float
-    tail_bound: float
+    __slots__ = ("value", "tail_bound")
+
+    def __init__(self, value: float, tail_bound: float) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tail_bound", tail_bound)
 
 
 def analog_distance_oracle(
@@ -103,8 +105,7 @@ def digital_distance_oracle(
     return OracleDistance(math.sqrt(math.fsum(parts)), tail)
 
 
-@dataclass(frozen=True)
-class LimitProbeResult:
+class LimitProbeResult(Frozen):
     """Ladder of (parameter, value) rows with an extrapolated limit.
 
     fitted_limit is None when the last three values oscillate too much for
@@ -114,11 +115,16 @@ class LimitProbeResult:
     are reported for comparison only, neither is asserted.
     """
 
-    quantity: str
-    rows: tuple[tuple[float, float], ...]
-    fitted_limit: float | None
-    candidate_limit: float | None = None
-    reference_bracket: tuple[float, float] | None = None
+    __slots__ = ("quantity", "rows", "fitted_limit", "candidate_limit", "reference_bracket")
+
+    def __init__(self, quantity: str, rows: tuple[tuple[float, float], ...],
+                 fitted_limit: float | None, candidate_limit: float | None = None,
+                 reference_bracket: tuple[float, float] | None = None) -> None:
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "fitted_limit", fitted_limit)
+        object.__setattr__(self, "candidate_limit", candidate_limit)
+        object.__setattr__(self, "reference_bracket", reference_bracket)
 
 
 def _extrapolate(values: list[float]) -> float | None:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ._frozen import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -12,26 +13,26 @@ if TYPE_CHECKING:
 __all__ = ["AnalogDelay", "DigitalDelay", "SampledSignal", "DigitalSequence"]
 
 
-@dataclass(frozen=True)
-class AnalogDelay:
+class AnalogDelay(Frozen):
     """Allowed look-ahead T >= 0 seconds: kernels may extend down to t = -T."""
 
-    T: float
+    __slots__ = ("T",)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.T) and self.T >= 0.0):
+    def __init__(self, T: float) -> None:
+        if not (math.isfinite(T) and T >= 0.0):
             raise ValueError("delay T must be finite and nonnegative")
+        object.__setattr__(self, "T", T)
 
 
-@dataclass(frozen=True)
-class DigitalDelay:
+class DigitalDelay(Frozen):
     """Allowed look-ahead N >= 0 samples: kernels may extend down to n = -N."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
+    def __init__(self, N: int) -> None:
+        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
             raise ValueError("delay N must be a nonnegative integer")
+        object.__setattr__(self, "N", N)
 
 
 def _as_complex_array(values) -> np.ndarray:
@@ -47,18 +48,19 @@ def _as_complex_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class SampledSignal:
+class SampledSignal(Frozen):
     """Uniform samples values[i] taken at t0 + i*dt."""
 
-    t0: float
-    dt: float
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("t0", "dt", "values")
+    _hidden = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t0) and math.isfinite(self.dt)) or self.dt <= 0:
+    def __init__(self, t0: float, dt: float, values: np.ndarray) -> None:
+        if not (math.isfinite(t0) and math.isfinite(dt)) or dt <= 0:
             raise ValueError("need finite t0 and dt > 0")
-        object.__setattr__(self, "values", _as_complex_array(self.values))
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "values", _as_complex_array(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -78,17 +80,18 @@ class SampledSignal:
         return math.sqrt(self.energy())
 
 
-@dataclass(frozen=True, eq=False)
-class DigitalSequence:
+class DigitalSequence(Frozen):
     """Finitely supported sequence: values[i] sits at index offset + i."""
 
-    offset: int
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("offset", "values")
+    _hidden = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.offset, int) or isinstance(self.offset, bool):
+    def __init__(self, offset: int, values: np.ndarray) -> None:
+        if not isinstance(offset, int) or isinstance(offset, bool):
             raise ValueError("offset must be an integer")
-        object.__setattr__(self, "values", _as_complex_array(self.values))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", _as_complex_array(values))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -9,11 +9,11 @@ detail strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analog, digital, operators
+from ._frozen import Frozen
 from .errors import DomainError
 from .kernel import BandpassInterval, oscillatory_tail_integral, oscillatory_tail_sum
 from .oracle import analog_distance_oracle, digital_distance_oracle
@@ -24,12 +24,14 @@ __all__ = ["CheckResult", "run_checks", "SUITES"]
 PI_4 = 0.25 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Frozen):
+    __slots__ = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _fmt(x: float) -> str:

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +438,32 @@ class TestExitCodes:
         assert code == 4
         assert "cannot write" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"],
+            ["sweep", "--mode", "analog", "--vary", "delay",
+             "--range", "0", "50", "--steps", "1000", "--a", "0", "--b", "2"],
+        ],
+    )
+    def test_closed_stdout_exit_4(self, argv):
+        # the reader is closed before the child starts, so every write fails;
+        # with stdout block-buffered the short report fails only when
+        # flushed, and the long sweep already while it is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "causalgap", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+
     def test_verify_failure_exit_1(self, capsys, monkeypatch):
         from causalgap import verify as verify_module
 
@@ -537,13 +565,13 @@ _integer = st.one_of(st.sampled_from(_INT_VALUES), st.integers(-5, 10**6).map(st
 
 
 @st.composite
-def _argvs(draw):
-    """An argv for analog, digital, sweep or impulse, without --out."""
+def _argvs(draw, commands=("analog", "digital", "sweep", "impulse")):
+    """An argv for one of the commands, without --out."""
 
     def maybe(flag, values):
         return [flag, draw(values)] if draw(st.booleans()) else []
 
-    command = draw(st.sampled_from(("analog", "digital", "sweep", "impulse")))
+    command = draw(st.sampled_from(commands))
     argv = [command]
     if command in ("sweep", "impulse"):
         argv += ["--mode", draw(st.sampled_from(("analog", "digital")))]
@@ -598,6 +626,48 @@ class TestFuzz:
             if "text" not in argv:
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_argvs(commands=("sweep", "impulse")))
+    @example(["sweep", "--mode", "digital", "--vary", "delay",
+              "--range", "0", "4", "--steps", "5", "--a", "2", "--b", "4"])
+    @example(["impulse", "--mode", "digital", "--a", "2", "--b", "4", "--window", "4"])
+    def test_out_path_is_written_or_exits_4(self, argv):
+        # the same argv to a writable file, to a directory and into a
+        # missing directory: an argv that writes the file exits 4 on the
+        # other two, and one rejected before writing exits 2 on all three
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "out.csv")
+            codes = []
+            for path in (target, tmp, os.path.join(tmp, "missing", "out.csv")):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        codes.append(cli.main([*argv, "--out", path]))
+                    except SystemExit as exc:
+                        codes.append(exc.code)
+            if codes[0] == 0:
+                header = Path(target).read_text().splitlines()[0]
+                assert header in ("param,distance,angle,kernel_norm,method,error_estimate",
+                                  "index_or_time,re,im"), header
+                assert codes[1:] == [4, 4], (argv, codes)
+            else:
+                assert codes == [2, 2, 2], (argv, codes)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(-3, 2**64))
+    @example(-3)
+    @example(-1)
+    @example(0)
+    @example(2**64)
+    def test_verify_seed_range(self, seed):
+        # negative seeds are invalid parameters; every other seed passes
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--suite", "digital", "--seed", str(seed)])
+        assert code == (2 if seed < 0 else 0), (seed, err.getvalue())
+        if seed >= 0:
+            assert f"checks passed (suite digital, seed {seed})" in out.getvalue()
+
 
 class TestWithoutScipy:
     def test_commands_run_with_scipy_blocked(self):
@@ -623,6 +693,15 @@ class TestWithoutScipy:
         assert proc.returncode == 0, proc.stderr
 
 
+#: one scalar argv per report or sweep command, run by the start-up tests
+_SCALAR_ARGVS = [
+    ["analog", "--a", "0", "--b", "2", "--delay", "1.5"],
+    ["digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"],
+    ["sweep", "--mode", "analog", "--vary", "delay",
+     "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"],
+]
+
+
 class TestWithoutNumpy:
     """Reports and sweeps are scalar work and must not need numpy."""
 
@@ -633,16 +712,10 @@ class TestWithoutNumpy:
 
     def test_reports_and_sweeps_leave_the_thread_pool_unloaded(self):
         # only a long impulse response loads the pool and starts threads
-        argvs = [
-            ["analog", "--a", "0", "--b", "2", "--delay", "1.5"],
-            ["digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"],
-            ["sweep", "--mode", "analog", "--vary", "delay",
-             "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"],
-        ]
         script = (
             "import contextlib, io, sys\n"
             "from causalgap import cli\n"
-            f"for argv in {argvs!r}:\n"
+            f"for argv in {_SCALAR_ARGVS!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "assert 'concurrent.futures' not in sys.modules\n"
@@ -688,6 +761,41 @@ class TestWithoutNumpy:
             "        ('thetaN_vs_N', BandpassInterval.digital(2.0, 4.0), [1, 3, 300, 1000])):\n"
             "    probe = limit_probe(quantity, ladder, band=band)\n"
             "    assert all(math.isfinite(v) for _, v in probe.rows), probe\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestStartup:
+    """Every call pays for the import, so it loads only what it uses."""
+
+    def test_import_and_reports_leave_dataclasses_and_inspect_unloaded(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import causalgap\n"
+            "def check():\n"
+            "    for name in ('dataclasses', 'inspect'):\n"
+            "        assert name not in sys.modules, name\n"
+            "check()\n"
+            "from causalgap import cli\n"
+            f"for argv in {_SCALAR_ARGVS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    check()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_binds_every_submodule(self):
+        # the package is eager: callers read causalgap.kernel and the rest
+        # right after import, and no module __getattr__ defers any of them
+        script = (
+            "import causalgap\n"
+            "for name in ('kernel', 'signals', 'analog', 'digital', 'operators', 'oracle'):\n"
+            "    assert name in vars(causalgap), name\n"
+            "assert '__getattr__' not in vars(causalgap)\n"
+            "for name in causalgap.__all__:\n"
+            "    assert name in vars(causalgap), name\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
