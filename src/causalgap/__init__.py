@@ -14,7 +14,6 @@ reduce arrays, so scalar reports, sweeps and limit probes never load it.
 
 from .errors import (
     DomainError,
-    GridMismatch,
     NegativeRadicand,
     NonMonotoneLadder,
     NonRealInput,
@@ -31,20 +30,17 @@ from .analog import (
     delayed_distance_si,
     delayed_report,
     impulse_response,
-    memoryless_angle_check,
     paley_wiener_diagnostic,
     real_transfer_report,
 )
 from .digital import (
     FourierCoefficientTable,
     best_causal_coefficients,
-    c0_ratio_angle,
     causal_report_digital,
     delayed_report_digital,
 )
 from .operators import (
     NormEstimate,
-    convolve_analog,
     convolve_digital,
     matched_input,
     operator_norm_estimate,
@@ -70,7 +66,6 @@ __all__ = [
     "DigitalSequence",
     "DomainError",
     "FourierCoefficientTable",
-    "GridMismatch",
     "LimitProbeResult",
     "NegativeRadicand",
     "NonMonotoneLadder",
@@ -83,10 +78,8 @@ __all__ = [
     "ZeroKernel",
     "analog_distance_oracle",
     "best_causal_coefficients",
-    "c0_ratio_angle",
     "causal_report",
     "causal_report_digital",
-    "convolve_analog",
     "convolve_digital",
     "delayed_distance_si",
     "delayed_report",
@@ -95,7 +88,6 @@ __all__ = [
     "impulse_response",
     "limit_probe",
     "matched_input",
-    "memoryless_angle_check",
     "operator_norm_estimate",
     "paley_wiener_diagnostic",
     "real_transfer_report",

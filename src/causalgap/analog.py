@@ -20,7 +20,7 @@ import os
 from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
-from .errors import DomainError, NonRealInput, ZeroKernel
+from .errors import NonRealInput
 from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral
 from .signals import AnalogDelay, SampledSignal
 
@@ -47,9 +47,7 @@ __all__ = [
     "delayed_report",
     "delayed_distance_si",
     "real_transfer_report",
-    "memoryless_angle_check",
     "paley_wiener_diagnostic",
-    "AnalogDelay",
 ]
 
 
@@ -75,7 +73,7 @@ class ApproximationReport(Frozen):
             raise ValueError("distance cannot exceed the kernel norm")
         if not -1e-12 <= angle <= 0.5 * math.pi + 1e-12:
             raise ValueError("angle must lie in [0, pi/2]")
-        if subspace not in ("Causal", "Delayed", "Memoryless"):
+        if subspace not in ("Causal", "Delayed"):
             raise ValueError(f"unknown subspace {subspace!r}")
         object.__setattr__(self, "kernel_norm", kernel_norm)
         object.__setattr__(self, "distance", distance)
@@ -355,28 +353,6 @@ def real_transfer_report(samples: TransferFunctionSamples) -> ApproximationRepor
         subspace="Causal",
         method="ClosedForm",
     )
-
-
-def memoryless_angle_check(h_samples: SampledSignal) -> float:
-    """Angle between a sampled kernel and the causal subspace.
-
-    arcsin of the square root of the energy fraction at t < 0; pi/2 when the
-    support lies entirely on the anticausal side, 0 when it is causal.  The
-    boundary sample at t = 0 counts as causal.  Requires a time grid that is
-    symmetric about 0; raises ZeroKernel for the zero signal.
-    """
-    import numpy as np
-
-    t_last = h_samples.t0 + (len(h_samples) - 1) * h_samples.dt
-    if abs(h_samples.t0 + t_last) > 0.5 * h_samples.dt:
-        raise DomainError("samples must sit on a grid symmetric about t = 0")
-    total = h_samples.energy()
-    if total == 0.0:
-        raise ZeroKernel("cannot measure the angle of the zero kernel")
-    t = h_samples.times()
-    neg = h_samples.dt * float(np.sum(np.abs(h_samples.values[t < 0.0]) ** 2))
-    ratio = min(1.0, math.sqrt(neg / total))
-    return math.asin(ratio)
 
 
 class PaleyWienerDiagnostic(Frozen):

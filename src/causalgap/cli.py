@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
 parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
-impulse grid on which c t or the band center times t overflows, or a
-look-ahead beyond _MAX_DELAY_SAMPLES), 4 unwritable output (an --out path
-that cannot be opened, or a stdout whose reader has closed it).  Code 3
-is not used.  An option value may be a negative number with an exponent or
-an infinity, such as --a -1e-3 or --range -inf 1.
+impulse grid on which c t or the band center times t overflows, a
+look-ahead beyond _MAX_DELAY_SAMPLES, or a sweep or impulse option that
+does not apply to the chosen mode or varied parameter), 4 unwritable
+output (an --out path that cannot be opened, or a stdout whose reader has
+closed it).  Code 3 is not used.  An option value may be a negative
+number with an exponent or an infinity, such as --a -1e-3 or
+--range -inf 1.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given
@@ -231,6 +233,17 @@ def _sweep_rows(args, params) -> list | int:
     return rows
 
 
+def _reject_unused(args, names: tuple[str, ...], where: str) -> int | None:
+    """Exit 2 naming the first given option of names, which where would ignore.
+
+    None when none of them was given.
+    """
+    for name in names:
+        if getattr(args, name) is not None:
+            return _fail(f"--{name.replace('_', '-')} does not apply to {where}", 2)
+    return None
+
+
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     """numpy.linspace(lo, hi, steps) by its own formula, point for point."""
     div = steps - 1
@@ -245,6 +258,13 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.vary == "delay":
+        unused = ("delay", "delay_samples")
+    else:
+        unused = ("a", "b", "delay_samples" if args.mode == "analog" else "delay")
+    code = _reject_unused(args, unused, f"{args.mode} {args.vary} sweeps")
+    if code is not None:
+        return code
     lo, hi = args.range
     if not (lo < hi and math.isfinite(hi - lo)):
         return _fail("range must satisfy LO < HI with a finite HI - LO", 2)
@@ -268,6 +288,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impulse(args) -> int:
+    unused = ("window", "delay_samples") if args.mode == "analog" else ("t_max", "dt", "delay")
+    code = _reject_unused(args, unused, f"{args.mode} impulse responses")
+    if code is not None:
+        return code
     if args.mode == "analog":
         band = _band("analog", args.a, args.b)
         if band is None:

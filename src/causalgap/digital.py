@@ -28,8 +28,6 @@ __all__ = [
     "causal_report_digital",
     "delayed_report_digital",
     "best_causal_coefficients",
-    "c0_ratio_angle",
-    "DigitalDelay",
 ]
 
 
@@ -209,14 +207,3 @@ def best_causal_coefficients(
     table = FourierCoefficientTable.build(band, -window, N)
     return DigitalSequence(-N, table.values[::-1].copy())
 
-
-def c0_ratio_angle(ratio: float) -> float:
-    """Angle of a one-sided exponential-type filter from its c_0 energy share.
-
-    For kernels whose only anticausal energy sits in a mean component of
-    relative size ratio = |c_0| / norm, the causal angle is
-    arcsin(sqrt((1 - ratio^2) / 2)).  ratio must lie in [0, 1].
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise DomainError(f"energy ratio {ratio!r} outside [0, 1]")
-    return math.asin(math.sqrt(0.5 * (1.0 - ratio * ratio)))

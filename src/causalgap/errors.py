@@ -17,9 +17,5 @@ class DomainError(ValueError):
     """Scalar argument outside the mathematically allowed domain."""
 
 
-class GridMismatch(ValueError):
-    """Two sampled signals disagree on the sampling step."""
-
-
 class NonMonotoneLadder(ValueError):
     """A probe ladder is not strictly monotone."""

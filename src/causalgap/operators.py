@@ -13,19 +13,16 @@ from __future__ import annotations
 import bisect
 
 from ._frozen import Frozen
-from .errors import GridMismatch, ZeroKernel
+from .errors import ZeroKernel
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 
 __all__ = [
     "NormEstimate",
     "convolve_digital",
-    "convolve_analog",
     "matched_input",
     "operator_norm_estimate",
     "truncate_to_delay",
     "truncate_to_delay_analog",
-    "SampledSignal",
-    "DigitalSequence",
 ]
 
 
@@ -35,20 +32,6 @@ def convolve_digital(h: DigitalSequence, f: DigitalSequence) -> DigitalSequence:
 
     vals = np.convolve(h.values, f.values)
     return DigitalSequence(h.offset + f.offset, vals)
-
-
-def convolve_analog(h: SampledSignal, f: SampledSignal) -> SampledSignal:
-    """Riemann-sum convolution of two sampled signals on matching grids.
-
-    Both signals must share the same dt exactly; the discrete convolution is
-    scaled by dt so it approximates the continuous integral.
-    """
-    import numpy as np
-
-    if h.dt != f.dt:
-        raise GridMismatch(f"sample steps differ: {h.dt!r} vs {f.dt!r}")
-    vals = h.dt * np.convolve(h.values, f.values)
-    return SampledSignal(h.t0 + f.t0, h.dt, vals)
 
 
 def matched_input(h: DigitalSequence) -> DigitalSequence:

@@ -25,17 +25,9 @@ __all__ = [
     "analog_distance_oracle",
     "digital_distance_oracle",
     "limit_probe",
-    "PROBE_QUANTITIES",
 ]
 
 _CHUNK = 1 << 20
-
-PROBE_QUANTITIES = (
-    "dT_vs_T",
-    "dT_vs_bandwidth",
-    "thetaN_vs_N",
-    "theta_vs_bandwidth",
-)
 
 
 class OracleDistance(Frozen):
@@ -59,8 +51,6 @@ def analog_distance_oracle(
     sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); everything the
     grid cannot see beyond -R has energy at most 2 / (pi R).
     """
-    import numpy as np
-
     if band.mode != "analog":
         raise ValueError("expected an analog band")
     if not dt > 0.0:
@@ -71,13 +61,19 @@ def analog_distance_oracle(
     tail = 2.0 / (math.pi * grid_radius)
     if m <= 0:
         return OracleDistance(0.0, tail)
+    return OracleDistance(math.sqrt(_midpoint_energy(band, -grid_radius, dt, m)), tail)
+
+
+def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) -> float:
+    """dt * sum of |h(t)|^2 over the m midpoints t = start + (j + 1/2) dt."""
+    import numpy as np
+
     parts = []
-    for start in range(0, m, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, m), dtype=np.float64)
-        t = -grid_radius + (j + 0.5) * dt
-        vals = impulse_response(band, t)
+    for lo in range(0, m, _CHUNK):
+        j = np.arange(lo, min(lo + _CHUNK, m), dtype=np.float64)
+        vals = impulse_response(band, start + (j + 0.5) * dt)
         parts.append(float(np.sum(vals.real**2 + vals.imag**2)))
-    return OracleDistance(math.sqrt(dt * math.fsum(parts)), tail)
+    return dt * math.fsum(parts)
 
 
 def digital_distance_oracle(

@@ -16,7 +16,7 @@ from . import analog, digital, operators
 from ._frozen import Frozen
 from .errors import DomainError
 from .kernel import BandpassInterval, oscillatory_tail_integral, oscillatory_tail_sum
-from .oracle import analog_distance_oracle, digital_distance_oracle
+from .oracle import _midpoint_energy, analog_distance_oracle, digital_distance_oracle
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence
 
 __all__ = ["CheckResult", "run_checks", "SUITES"]
@@ -134,13 +134,7 @@ def _chk_plancherel(seed: int) -> CheckResult:
     band = BandpassInterval.analog(0.0, 2.0)
     radius, dt = 5e3, 1e-2
     m = int(round(2 * radius / dt))
-    parts = []
-    chunk = 1 << 20
-    for start in range(0, m, chunk):
-        j = np.arange(start, min(start + chunk, m), dtype=np.float64)
-        vals = analog.impulse_response(band, -radius + (j + 0.5) * dt)
-        parts.append(float(np.sum(vals.real**2 + vals.imag**2)))
-    norm = math.sqrt(dt * math.fsum(parts))
+    norm = math.sqrt(_midpoint_energy(band, -radius, dt, m))
     worst = abs(norm - math.sqrt(band.bandwidth))
     return _result("analog", "kernel-norm-plancherel", worst, 1e-2)
 
@@ -269,18 +263,6 @@ def _chk_tail_sum_route(seed: int) -> CheckResult:
     return _result("digital", "tail-sum-dual-route", worst, 1e-14)
 
 
-def _chk_c0_ratio(seed: int) -> CheckResult:
-    worst = max(
-        abs(digital.c0_ratio_angle(1.0)), abs(digital.c0_ratio_angle(0.0) - PI_4)
-    )
-    try:
-        digital.c0_ratio_angle(1.5)
-        return CheckResult("digital", "mean-share-angle", False, "missing DomainError")
-    except DomainError:
-        pass
-    return _result("digital", "mean-share-angle", worst, 1e-15)
-
-
 # -------------------------------------------------------------- operators
 
 
@@ -381,7 +363,6 @@ SUITES: dict[str, tuple] = {
         _chk_causal_is_delay_zero,
         _chk_best_coefficients,
         _chk_tail_sum_route,
-        _chk_c0_ratio,
     ),
     "operators": (
         _chk_matched_filter,

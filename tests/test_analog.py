@@ -16,16 +16,12 @@ from causalgap import (
     AnalogImpulseResponse,
     ApproximationReport,
     BandpassInterval,
-    DomainError,
     NonRealInput,
-    SampledSignal,
     TransferFunctionSamples,
-    ZeroKernel,
     causal_report,
     delayed_distance_si,
     delayed_report,
     impulse_response,
-    memoryless_angle_check,
     paley_wiener_diagnostic,
     real_transfer_report,
 )
@@ -234,8 +230,9 @@ class TestApproximationReportValidation:
             ApproximationReport(1.0, 0.5, 2.0, "Causal", "ClosedForm")
 
     def test_rejects_unknown_subspace(self):
-        with pytest.raises(ValueError):
-            ApproximationReport(1.0, 0.5, 0.5, "Anticipative", "ClosedForm")
+        for subspace in ("Anticipative", "Memoryless"):
+            with pytest.raises(ValueError):
+                ApproximationReport(1.0, 0.5, 0.5, subspace, "ClosedForm")
 
 
 class TestDelayedReport:
@@ -388,47 +385,6 @@ class TestRealTransferReport:
     def test_grid(self):
         samples = TransferFunctionSamples(-1.0, 3.0, np.ones(5))
         assert np.array_equal(samples.grid(), np.array([-1.0, 0.0, 1.0, 2.0, 3.0]))
-
-
-def _symmetric_signal(values, dt):
-    values = np.asarray(values, dtype=np.complex128)
-    t0 = -0.5 * (len(values) - 1) * dt
-    return SampledSignal(t0, dt, values)
-
-
-class TestMemorylessAngleCheck:
-    def test_anticausal_support_gives_right_angle(self):
-        values = np.zeros(9)
-        values[:4] = 1.0  # strictly left of t = 0
-        angle = memoryless_angle_check(_symmetric_signal(values, 0.25))
-        assert angle == 0.5 * math.pi
-
-    def test_causal_support_gives_zero(self):
-        values = np.zeros(9)
-        values[4:] = 1.0  # t = 0 and rightward
-        assert memoryless_angle_check(_symmetric_signal(values, 0.25)) == 0.0
-
-    def test_boundary_sample_counts_as_causal(self):
-        values = np.zeros(11)
-        values[5] = 1.0  # the t = 0 sample alone
-        assert memoryless_angle_check(_symmetric_signal(values, 0.1)) == 0.0
-
-    def test_sampled_ideal_band_sits_at_quarter_turn(self):
-        band = BandpassInterval.analog(0.0, 2.0)
-        h = AnalogImpulseResponse(band)
-        dt = 0.01
-        sig = h.sample(-100.0, dt, 20001)
-        angle = memoryless_angle_check(sig)
-        assert abs(angle - 0.25 * math.pi) <= 5e-3
-
-    def test_rejects_zero_signal(self):
-        with pytest.raises(ZeroKernel):
-            memoryless_angle_check(_symmetric_signal(np.zeros(5), 0.5))
-
-    def test_rejects_asymmetric_grid(self):
-        sig = SampledSignal(-1.0, 0.3, np.ones(5))  # runs -1.0 .. 0.2
-        with pytest.raises(DomainError):
-            memoryless_angle_check(sig)
 
 
 class TestPaleyWienerDiagnostic:

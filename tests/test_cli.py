@@ -390,12 +390,49 @@ class TestExitCodes:
              "--t-max", "4", "--dt", "2", "--delay", "1"),
             ("impulse", "--mode", "analog", "--a", "1e308", "--b", "1.5e308",
              "--t-max", "4", "--dt", "2", "--delay", "1"),
+            # an option that does not apply was ignored and the call exited 0
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "1", "2", "--steps", "2", "--delay", "3"),
+            ("sweep", "--mode", "analog", "--vary", "bandwidth",
+             "--range", "1", "2", "--steps", "2", "--delay-samples", "3"),
+            ("sweep", "--mode", "analog", "--vary", "delay", "--range", "0", "1",
+             "--steps", "2", "--a", "0", "--b", "1", "--delay", "3"),
+            ("sweep", "--mode", "digital", "--vary", "delay", "--range", "0", "4",
+             "--steps", "5", "--a", "2", "--b", "4", "--delay-samples", "3"),
+            ("sweep", "--mode", "analog", "--vary", "bandwidth",
+             "--range", "1", "2", "--steps", "2", "--a", "0"),
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "1", "2", "--steps", "2", "--b", "4"),
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "2",
+             "--t-max", "1", "--dt", "0.5", "--window", "4"),
+            ("impulse", "--mode", "analog", "--a", "0", "--b", "2",
+             "--t-max", "1", "--dt", "0.5", "--delay-samples", "1"),
+            ("impulse", "--mode", "digital", "--a", "2", "--b", "4",
+             "--window", "4", "--t-max", "1"),
+            ("impulse", "--mode", "digital", "--a", "2", "--b", "4",
+             "--window", "4", "--dt", "0.5"),
+            ("impulse", "--mode", "digital", "--a", "2", "--b", "4",
+             "--window", "4", "--delay", "1.5"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
         code, _, err = run_main(capsys, *args)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("sweep", "--mode", "digital", "--vary", "bandwidth",
+              "--range", "1", "2", "--steps", "2", "--delay", "3"), "--delay"),
+            (("impulse", "--mode", "analog", "--a", "0", "--b", "2",
+              "--t-max", "1", "--dt", "0.5", "--delay-samples", "1"), "--delay-samples"),
+        ],
+    )
+    def test_inapplicable_option_is_named(self, capsys, args, option):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert f"{option} does not apply" in err
 
     def test_band_whose_edge_sum_overflows(self, capsys):
         # the width 7e307 is finite; (a + b) / 2 overflowed

@@ -17,7 +17,6 @@ from causalgap import (
     FourierCoefficientTable,
     NegativeRadicand,
     best_causal_coefficients,
-    c0_ratio_angle,
     causal_report_digital,
     delayed_report_digital,
 )
@@ -349,28 +348,6 @@ class TestBestCausalCoefficients:
         band = BandpassInterval.digital(1e-6, TWO_PI - 1e-6)
         seq = best_causal_coefficients(band, DigitalDelay(0), window=4)
         assert abs(seq.values[0] - 1.0) <= 1e-5
-
-
-class TestMeanShareAngle:
-    def test_endpoints(self):
-        assert c0_ratio_angle(1.0) == 0.0
-        assert c0_ratio_angle(0.0) == pytest.approx(0.25 * math.pi, rel=1e-15)
-
-    def test_interior_value(self):
-        assert c0_ratio_angle(0.5) == pytest.approx(
-            math.asin(math.sqrt(0.375)), rel=1e-15
-        )
-
-    def test_monotone_decreasing(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        angles = [c0_ratio_angle(float(r)) for r in grid]
-        assert all(b < a for a, b in zip(angles, angles[1:]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            c0_ratio_angle(-0.01)
-        with pytest.raises(DomainError):
-            c0_ratio_angle(1.01)
 
 
 class TestBandOfWidth:

@@ -1,0 +1,63 @@
+"""Import hygiene of each module, read from its syntax tree.
+
+Every top-level import is read somewhere in its module, and every name a
+module lists in __all__ is defined there: the package's __init__ is the
+one place that gathers names from other modules.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "causalgap"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(name: str) -> ast.Module:
+    path = SRC / name
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _top_level(tree: ast.Module):
+    """Module statements, with the bodies of top-level if blocks (TYPE_CHECKING)."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from node.body
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    tree = _tree(name)
+    bound = {}
+    for node in _top_level(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {n: line for n, line in bound.items() if n not in read}
+    assert not unread, f"{name} imports names it never reads: {unread}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_only_names_defined_here(name):
+    tree = _tree(name)
+    defined = set()
+    exported = []
+    for node in _top_level(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    foreign = [n for n in exported if n not in defined]
+    assert not foreign, f"{name} re-exports names defined elsewhere: {foreign}"

@@ -11,11 +11,9 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     DigitalSequence,
-    GridMismatch,
     SampledSignal,
     ZeroKernel,
     best_causal_coefficients,
-    convolve_analog,
     convolve_digital,
     delayed_report,
     matched_input,
@@ -55,29 +53,6 @@ class TestConvolveDigital:
             b = convolve_digital(h, f).shifted(m)
             assert a.offset == b.offset
             assert np.array_equal(a.values, b.values)
-
-
-class TestConvolveAnalog:
-    def test_box_convolution_is_a_triangle(self):
-        dt = 0.01
-        box = SampledSignal(0.0, dt, np.ones(100))
-        out = convolve_analog(box, box)
-        assert out.t0 == 0.0 and out.dt == dt and len(out) == 199
-        # rising edge of the triangle: dt * (k + 1)
-        for k in (0, 10, 99):
-            assert out.values[k].real == pytest.approx(dt * (k + 1), rel=1e-12)
-        assert float(np.max(out.values.real)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_time_offsets_add(self):
-        f = SampledSignal(-1.0, 0.5, np.ones(3))
-        g = SampledSignal(2.0, 0.5, np.ones(2))
-        assert convolve_analog(f, g).t0 == 1.0
-
-    def test_rejects_mismatched_grids(self):
-        f = SampledSignal(0.0, 0.1, np.ones(3))
-        g = SampledSignal(0.0, 0.2, np.ones(3))
-        with pytest.raises(GridMismatch):
-            convolve_analog(f, g)
 
 
 class TestMatchedInput:
@@ -200,3 +175,12 @@ class TestTruncateToDelayAnalog:
         residual = sig.energy() - kept.energy()
         expected = delayed_report(band, AnalogDelay(T)).distance ** 2
         assert abs(residual - expected) <= max(1e-3, 5.0 * dt)
+
+    def test_sampled_ideal_band_sits_at_quarter_turn(self):
+        # the energy the causal cut drops is half the total: angle pi/4
+        band = BandpassInterval.analog(0.0, 2.0)
+        h = AnalogImpulseResponse(band).sample(-100.0, 0.01, 20001)
+        kept = truncate_to_delay_analog(h, AnalogDelay(0.0))
+        total = h.energy()
+        angle = math.asin(math.sqrt((total - kept.energy()) / total))
+        assert abs(angle - 0.25 * math.pi) <= 5e-3

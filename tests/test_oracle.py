@@ -18,7 +18,6 @@ from causalgap import (
     digital_distance_oracle,
     limit_probe,
 )
-from causalgap.oracle import PROBE_QUANTITIES
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,14 +110,6 @@ class TestLadderValidation:
 
 
 class TestLimitProbe:
-    def test_quantity_names_are_exported(self):
-        assert set(PROBE_QUANTITIES) == {
-            "dT_vs_T",
-            "dT_vs_bandwidth",
-            "thetaN_vs_N",
-            "theta_vs_bandwidth",
-        }
-
     def test_unknown_quantity(self):
         with pytest.raises(DomainError):
             limit_probe("mystery", [1.0, 2.0, 4.0, 8.0])
