@@ -158,31 +158,46 @@ def _fill(band: BandpassInterval, n: int, times) -> np.ndarray:
     """h at n times into a new array; times(lo, hi, buf) gives t[lo:hi].
 
     times may write its block into buf, a scratch row long enough for it.
-    The range is cut at block edges into one part per usable CPU, at most
-    one per block; the caller's thread computes the first part, and each
-    other part runs in a copy of the caller's context.
     """
     import numpy as np
 
     out = np.empty(n, dtype=np.complex128)
+    _in_parts(n, lambda lo, hi: _fill_range(band, times, lo, hi, out))
+    return out
+
+
+def _block_energies(band: BandpassInterval, n: int, times) -> list[float]:
+    """Sum of |h|^2 over each block of the n times, in order; times as for _fill.
+
+    Blocks start at multiples of _BLOCK whatever the number of parts, so
+    the sums do not depend on it.
+    """
+    parts = _in_parts(n, lambda lo, hi: _fill_range(band, times, lo, hi))
+    return [s for part in parts for s in part]
+
+
+def _in_parts(n: int, run) -> list:
+    """[run(lo, hi) for each part of range(n)], the parts cut at block edges.
+
+    There is one part per usable CPU, at most one per block; the caller's
+    thread runs the first part, and each other part runs in a copy of the
+    caller's context.
+    """
     blocks = -(-n // _BLOCK)
     parts = min(_usable_cpus(), blocks)
     if parts <= 1:
-        _fill_range(band, out, times, 0, n)
-        return out
+        return [run(0, n)]
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
     edges = [min(n, _BLOCK * (blocks * i // parts)) for i in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
         futures = [
-            pool.submit(contextvars.copy_context().run, _fill_range, band, out, times, lo, hi)
+            pool.submit(contextvars.copy_context().run, run, lo, hi)
             for lo, hi in zip(edges[1:-1], edges[2:])
         ]
-        _fill_range(band, out, times, edges[0], edges[1])
-        for future in futures:
-            future.result()
-    return out
+        first = run(edges[0], edges[1])
+        return [first] + [future.result() for future in futures]
 
 
 def _usable_cpus() -> int:
@@ -192,8 +207,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_range(band: BandpassInterval, out: np.ndarray, times, lo: int, hi: int) -> None:
+def _fill_range(band: BandpassInterval, times, lo: int, hi: int,
+                out: np.ndarray | None = None) -> list[float]:
     """out[lo:hi] = h(times(lo, hi)), one block at a time.
+
+    With no out, nothing is written and the list of each block's sum of
+    |h|^2 comes back instead: that is the sum of amp^2 for the real
+    amplitude amp = (c / sqrt(2 pi)) sinc(c t / 2 pi), since the phase
+    exp(i center t) has modulus 1, so no complex value is formed.
 
     Each block runs the literal form's own ufuncs, np.sinc's three steps
     (y = pi x, eps where y is zero, sin(y) / y) among them, into buffers
@@ -208,6 +229,7 @@ def _fill_range(band: BandpassInterval, out: np.ndarray, times, lo: int, hi: int
     size = min(_BLOCK, hi - lo)
     buf, y, amp = np.empty(size), np.empty(size), np.empty(size)
     zero = np.empty(size, dtype=bool)
+    sums = []
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
         k = stop - start
@@ -221,10 +243,14 @@ def _fill_range(band: BandpassInterval, out: np.ndarray, times, lo: int, hi: int
         np.sin(yk, out=ak)
         np.divide(ak, yk, out=ak)
         np.multiply(c / SQRT_TWO_PI, ak, out=ak)
+        if out is None:
+            sums.append(float(np.dot(ak, ak)))
+            continue
         block = out[start:stop]
         np.multiply(rot, t, out=block)
         np.exp(block, out=block)
         np.multiply(ak, block, out=block)
+    return sums
 
 
 class AnalogImpulseResponse(Frozen):
@@ -242,15 +268,25 @@ class AnalogImpulseResponse(Frozen):
     def sample(self, t0: float, dt: float, n: int) -> SampledSignal:
         """h at t0 + dt * j for j = 0 .. n-1, the grid SampledSignal.times() gives.
 
-        The grid is formed one block at a time, never in full.
+        The grid is formed one block at a time, never in full.  ValueError
+        before any work unless n >= 1 and c t and the band center times t
+        stay finite on the grid, which keeps every value of h finite.
         """
         import numpy as np
+
+        if n < 1:
+            raise ValueError("need at least one sample")
+        # the times are monotone in j, so the widest |t| is at an end
+        reach = max(abs(t0), abs(t0 + dt * (n - 1)))
+        if not (math.isfinite(self.band.bandwidth * reach)
+                and math.isfinite(self.band.center * reach)):
+            raise ValueError("c * t and the band center * t must stay finite on the grid")
 
         def times(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
             t = np.multiply(np.arange(lo, hi, dtype=np.float64), dt, out=buf[: hi - lo])
             return np.add(t, t0, out=t)
 
-        return SampledSignal(t0, dt, _fill(self.band, n, times))
+        return SampledSignal._own(t0, dt, _fill(self.band, n, times))
 
 
 def _require_analog(band: BandpassInterval) -> None:

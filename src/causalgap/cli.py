@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
 parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
 impulse grid on which c t or the band center times t overflows, a
-look-ahead beyond _MAX_DELAY_SAMPLES, or a sweep or impulse option that
-does not apply to the chosen mode or varied parameter), 4 unwritable
+look-ahead beyond _MAX_DELAY_SAMPLES, or a sweep, impulse or --coeffs
+option that does not apply to the chosen mode or varied parameter or to a
+coefficient table), 4 unwritable
 output (an --out path that cannot be opened, or a stdout whose reader has
 closed it).  Code 3 is not used.  An option value may be a negative
 number with an exponent or an infinity, such as --a -1e-3 or
@@ -168,6 +169,9 @@ def cmd_digital(args) -> int:
             f"invalid digital band [{args.a!r}, {args.b!r}]: need 0 < a < b < 2*pi", 2
         )
     if args.coeffs is not None:
+        code = _reject_unused(args, ("delay_samples", "format"), "coefficient tables")
+        if code is not None:
+            return code
         if not 0 <= args.coeffs < _MAX_ROWS // 2:
             return _fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})", 2)
         table = digital.FourierCoefficientTable.build(band, -args.coeffs, args.coeffs)
@@ -182,7 +186,7 @@ def cmd_digital(args) -> int:
         if not 0 <= args.delay_samples <= _MAX_DELAY_SAMPLES:
             return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
         rep = digital.delayed_report_digital(band, DigitalDelay(args.delay_samples))
-    _print_report("digital", band, rep, args.format)
+    _print_report("digital", band, rep, args.format or "json")
     return 0
 
 
@@ -303,14 +307,13 @@ def cmd_impulse(args) -> int:
         steps = 2.0 * args.t_max / args.dt
         if not steps < _MAX_ROWS:
             return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
-        n = int(round(steps)) + 1
-        # the grid's times rise from -t-max, so the widest |t| is at an end
-        reach = max(args.t_max, -args.t_max + args.dt * (n - 1))
-        if not (math.isfinite(band.bandwidth * reach) and math.isfinite(band.center * reach)):
-            return _fail("c * t and the band center * t must stay finite on the grid", 2)
         if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
             return _fail("delay must be a nonnegative real", 2)
-        sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
+        n = int(round(steps)) + 1
+        try:
+            sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
+        except ValueError as exc:  # c t or the band center times t overflows on the grid
+            return _fail(str(exc), 2)
         if args.delay is not None:
             sig = truncate_to_delay_analog(sig, AnalogDelay(args.delay))
         axis = sig.times()
@@ -395,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--b", type=float, required=True)
     pd.add_argument("--delay-samples", type=int, default=None, help="look-ahead N (causal if omitted)")
     pd.add_argument("--coeffs", type=int, default=None, metavar="K", help="emit c_-K..c_K as CSV instead of a report")
-    pd.add_argument("--format", choices=("json", "text"), default="json")
+    pd.add_argument("--format", choices=("json", "text"), default=None, help="json if omitted")
     pd.set_defaults(func=cmd_digital)
 
     ps = sub.add_parser("sweep", help="CSV of reports along a parameter range")

@@ -99,7 +99,7 @@ def truncate_to_delay(h: DigitalSequence, delay: DigitalDelay) -> DigitalSequenc
     vals = h.values.copy()
     idx = h.indices()
     vals[idx < -delay.N] = 0.0
-    return DigitalSequence(h.offset, vals)
+    return DigitalSequence._own(h.offset, vals)
 
 
 def truncate_to_delay_analog(h: SampledSignal, delay: AnalogDelay) -> SampledSignal:
@@ -113,4 +113,4 @@ def truncate_to_delay_analog(h: SampledSignal, delay: AnalogDelay) -> SampledSig
     )
     vals = h.values.copy()
     vals[:cut] = 0.0
-    return SampledSignal(h.t0, h.dt, vals)
+    return SampledSignal._own(h.t0, h.dt, vals)

@@ -1,9 +1,10 @@
 """Brute-force cross-checks for the closed-form distances, plus limit probes.
 
 Nothing here shares an evaluation path with the results it validates: the
-analog oracle is a plain midpoint Riemann sum of |h|^2 (no adaptive
-quadrature, no sine integral) and the digital oracle sums |c_k|^2 from the
-defining complex-exponential difference (no half-angle magnitude form).
+analog oracle is a plain midpoint Riemann sum of |h|^2, summed as the
+squared real amplitude (c / sqrt(2 pi)) sinc(c t / 2 pi) of the kernel (no
+closed form, no sine integral), and the digital oracle sums |c_k|^2 from
+the defining complex-exponential difference (no half-angle magnitude form).
 Each oracle returns its value together with the analytic bound on what the
 finite grid or index cutoff can miss.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .analog import delayed_distance_si, impulse_response
+from .analog import _block_energies, delayed_distance_si
 from .digital import _band_of_width, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
@@ -65,15 +66,19 @@ def analog_distance_oracle(
 
 
 def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) -> float:
-    """dt * sum of |h(t)|^2 over the m midpoints t = start + (j + 1/2) dt."""
+    """dt * sum of |h(t)|^2 over the m midpoints t = start + (j + 1/2) dt.
+
+    |h| is the real amplitude of the kernel, so each block of midpoints is
+    summed as amp^2 and the block sums are added exactly.
+    """
     import numpy as np
 
-    parts = []
-    for lo in range(0, m, _CHUNK):
-        j = np.arange(lo, min(lo + _CHUNK, m), dtype=np.float64)
-        vals = impulse_response(band, start + (j + 0.5) * dt)
-        parts.append(float(np.sum(vals.real**2 + vals.imag**2)))
-    return dt * math.fsum(parts)
+    def times(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        t = np.add(np.arange(lo, hi, dtype=np.float64), 0.5, out=buf[: hi - lo])
+        np.multiply(t, dt, out=t)
+        return np.add(start, t, out=t)
+
+    return dt * math.fsum(_block_energies(band, m, times))
 
 
 def digital_distance_oracle(

@@ -43,7 +43,10 @@ def _as_complex_array(values) -> np.ndarray:
         raise ValueError("values must be a nonempty 1-d array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
-    arr = arr.copy()
+    return _read_only(arr.copy())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -56,11 +59,26 @@ class SampledSignal(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, t0: float, dt: float, values: np.ndarray) -> None:
+        self._hold(t0, dt, values, _as_complex_array)
+
+    @classmethod
+    def _own(cls, t0: float, dt: float, arr: np.ndarray) -> "SampledSignal":
+        """SampledSignal(t0, dt, arr) over arr itself, which it makes read-only.
+
+        There is no copy and no finiteness scan, so arr must be a finite
+        complex vector that nothing else will write: one the library has
+        just made.
+        """
+        sig = object.__new__(cls)
+        sig._hold(t0, dt, arr, _read_only)
+        return sig
+
+    def _hold(self, t0: float, dt: float, values, take) -> None:
         if not (math.isfinite(t0) and math.isfinite(dt)) or dt <= 0:
             raise ValueError("need finite t0 and dt > 0")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "values", _as_complex_array(values))
+        object.__setattr__(self, "values", take(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -74,7 +92,8 @@ class SampledSignal(Frozen):
         """dt-weighted squared l2 norm, the Riemann proxy for the L2 energy."""
         import numpy as np
 
-        return self.dt * float(np.sum(np.abs(self.values) ** 2))
+        v = self.values
+        return self.dt * float(np.vdot(v, v).real)
 
     def norm(self) -> float:
         return math.sqrt(self.energy())
@@ -88,10 +107,20 @@ class DigitalSequence(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, offset: int, values: np.ndarray) -> None:
+        self._hold(offset, values, _as_complex_array)
+
+    @classmethod
+    def _own(cls, offset: int, arr: np.ndarray) -> "DigitalSequence":
+        """DigitalSequence(offset, arr) over arr itself; see SampledSignal._own."""
+        seq = object.__new__(cls)
+        seq._hold(offset, arr, _read_only)
+        return seq
+
+    def _hold(self, offset: int, values, take) -> None:
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise ValueError("offset must be an integer")
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", _as_complex_array(values))
+        object.__setattr__(self, "values", take(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -107,4 +136,4 @@ class DigitalSequence(Frozen):
         return float(np.linalg.norm(self.values))
 
     def shifted(self, m: int) -> "DigitalSequence":
-        return DigitalSequence(self.offset + m, self.values)
+        return DigitalSequence._own(self.offset + m, self.values)

@@ -27,6 +27,7 @@ from causalgap import (
 )
 from causalgap import analog as analog_module
 from causalgap.kernel import oscillatory_tail_integral
+from causalgap.oracle import _midpoint_energy
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -182,6 +183,34 @@ class TestBlockwiseImpulseResponse:
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
                 impulse_response(band, t)
+
+
+class TestMidpointEnergy:
+    """The oracle's energy sums the real amplitude, block by block."""
+
+    START, DT, M = -150.0, 1e-3, 300_001
+
+    def _reference(self, band):
+        t = self.START + (np.arange(self.M, dtype=np.float64) + 0.5) * self.DT
+        h = impulse_response(band, t)
+        return self.DT * math.fsum((h.real**2 + h.imag**2).tolist())
+
+    @pytest.mark.parametrize("band", _BANDS, ids=str)
+    def test_matches_the_sum_of_the_sampled_kernel(self, band):
+        got = _midpoint_energy(band, self.START, self.DT, self.M)
+        want = self._reference(band)
+        if want == 0.0:  # the subnormal-width band
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        band = BandpassInterval.analog(1.0, 4.0)
+        energies = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(analog_module, "_usable_cpus", lambda: cpus)
+            energies.append(_midpoint_energy(band, self.START, self.DT, self.M))
+        assert energies[0] == energies[1]
 
 
 class TestCausalReport:

@@ -413,6 +413,8 @@ class TestExitCodes:
              "--window", "4", "--dt", "0.5"),
             ("impulse", "--mode", "digital", "--a", "2", "--b", "4",
              "--window", "4", "--delay", "1.5"),
+            ("digital", "--a", "2", "--b", "4", "--coeffs", "1", "--delay-samples", "3"),
+            ("digital", "--a", "2", "--b", "4", "--coeffs", "1", "--format", "text"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
@@ -427,6 +429,10 @@ class TestExitCodes:
               "--range", "1", "2", "--steps", "2", "--delay", "3"), "--delay"),
             (("impulse", "--mode", "analog", "--a", "0", "--b", "2",
               "--t-max", "1", "--dt", "0.5", "--delay-samples", "1"), "--delay-samples"),
+            (("digital", "--a", "2", "--b", "4", "--coeffs", "1",
+              "--delay-samples", "3"), "--delay-samples"),
+            (("digital", "--a", "2", "--b", "4", "--coeffs", "1",
+              "--format", "text"), "--format"),
         ],
     )
     def test_inapplicable_option_is_named(self, capsys, args, option):

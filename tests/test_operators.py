@@ -1,6 +1,7 @@
 """Convolution operators: norm estimates, matched inputs, delay truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from causalgap import (
     truncate_to_delay,
     truncate_to_delay_analog,
 )
+from causalgap import analog
 
 
 def _seq(offset, values):
@@ -184,3 +186,75 @@ class TestTruncateToDelayAnalog:
         total = h.energy()
         angle = math.asin(math.sqrt((total - kept.energy()) / total))
         assert abs(angle - 0.25 * math.pi) <= 5e-3
+
+
+class TestOwnership:
+    """Arrays the library makes are handed over; arrays a caller gives are copied."""
+
+    BAND = BandpassInterval.analog(0.0, 2.0)
+
+    def test_sampled_and_truncated_values_are_read_only(self):
+        h = AnalogImpulseResponse(self.BAND).sample(-2.0, 0.5, 9)
+        before = h.values.copy()
+        kept = truncate_to_delay_analog(h, AnalogDelay(1.0))
+        for sig in (h, kept):
+            assert not sig.values.flags.writeable
+        assert np.array_equal(h.values, before)
+        assert not np.shares_memory(kept.values, h.values)
+
+    def test_sampling_and_truncation_make_one_array_each(self, monkeypatch):
+        # each part of the range has its own block buffers: pin the count
+        monkeypatch.setattr(analog, "_usable_cpus", lambda: 2)
+        n = 300_001
+        sample = AnalogImpulseResponse(self.BAND).sample
+        sample(-150.0, 1e-3, n)  # settles lazy imports
+        tracemalloc.start()
+        try:
+            h = sample(-150.0, 1e-3, n)
+            _, sampled = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            truncate_to_delay_analog(h, AnalogDelay(0.5))
+            _, truncated = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one complex array of n points, plus under 2 MiB of block buffers
+        assert sampled <= 16 * n + 2**21
+        assert truncated - held <= 16 * n + 2**21
+
+    def test_digital_truncation_copies_once_and_shift_shares(self):
+        h = _seq(-3, [1.0, 2.0, 3.0, 4.0])
+        kept = truncate_to_delay(h, DigitalDelay(1))
+        assert not kept.values.flags.writeable
+        assert np.array_equal(h.values, [1.0, 2.0, 3.0, 4.0])
+        assert not np.shares_memory(kept.values, h.values)
+        moved = h.shifted(2)
+        assert moved.offset == -1 and moved.values is h.values
+        with pytest.raises(ValueError):
+            h.shifted(1.5)
+
+    @pytest.mark.parametrize(
+        "make", [lambda a: SampledSignal(0.0, 1.0, a), lambda a: DigitalSequence(0, a)],
+        ids=["SampledSignal", "DigitalSequence"],
+    )
+    def test_public_constructors_copy_and_scan(self, make):
+        arr = np.array([1.0, 2.0], dtype=np.complex128)
+        held = make(arr)
+        arr[0] = 5.0
+        assert held.values[0] == 1.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="values must be finite"):
+                make(np.array([1.0, bad], dtype=np.complex128))
+
+    @pytest.mark.parametrize(
+        "t0, dt, n, message",
+        [
+            (-1.0, 0.5, 0, "need at least one sample"),
+            (-1.0, 1e308, 3, "must stay finite"),  # the last time overflows
+            (-1e308, 1.0, 3, "must stay finite"),  # c t overflows
+            (math.nan, 0.5, 3, "must stay finite"),
+        ],
+    )
+    def test_sampling_rejects_grids_without_finite_values(self, t0, dt, n, message):
+        with pytest.raises(ValueError, match=message):
+            AnalogImpulseResponse(self.BAND).sample(t0, dt, n)
