@@ -1,13 +1,18 @@
 """Command-line surface: reports, sweeps, impulse tables, and self-checks.
 
+Each report and sweep row is the delayed report of its band at its
+look-ahead; an omitted look-ahead is 0, whose report is the causal one.
+Every command checks --delay (finite, >= 0) and --delay-samples (an
+integer in [0, _MAX_DELAY_SAMPLES]) the same way.
+
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
 parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
 impulse grid on which c t or the band center times t overflows, a
-look-ahead beyond _MAX_DELAY_SAMPLES, or a sweep, impulse or --coeffs
-option that does not apply to the chosen mode or varied parameter or to a
-coefficient table), 4 unwritable
-output (an --out path that cannot be opened, or a stdout whose reader has
-closed it).  Code 3 is not used.  An option value may be a negative
+look-ahead beyond _MAX_DELAY_SAMPLES in digital, sweep or impulse, or a
+sweep, impulse or --coeffs option that does not apply to the chosen mode
+or varied parameter or to a coefficient table), 4 unwritable output (an
+--out path that cannot be opened, or a stdout whose reader has closed
+it).  Code 3 is not used.  An option value may be a negative
 number with an exponent or an infinity, such as --a -1e-3 or
 --range -inf 1.
 
@@ -67,20 +72,15 @@ def _scalar(x) -> str:
 
 
 def _json_dumps(obj, level: int = 0) -> str:
-    """Minimal JSON writer with .17g floats (so round-trips are idempotent)."""
-    pad = "  " * level
+    """Minimal JSON writer with .17g floats (so round-trips are idempotent).
+
+    A report is an object whose values are scalars or nonempty objects.
+    """
+    if not isinstance(obj, dict):
+        return _scalar(obj)
     inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}"{k}": {_json_dumps(v, level + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [inner + _json_dumps(v, level + 1) for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return _scalar(obj)
+    rows = [f'{inner}"{k}": {_json_dumps(v, level + 1)}' for k, v in obj.items()]
+    return "{\n" + ",\n".join(rows) + "\n" + "  " * level + "}"
 
 
 def _fail(message: str, code: int) -> int:
@@ -100,10 +100,18 @@ def _emit(text: str, path: str | None) -> int:
     return 0
 
 
-def _report_dict(mode: str, band: BandpassInterval, rep) -> dict:
-    return {
+def _csv(header: str, axis, values, label) -> str:
+    """The header, then one label(x),re,im row per point of axis."""
+    lines = [header]
+    for x, v in zip(axis, values):
+        lines.append(f"{label(x)},{_num(v.real)},{_num(v.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def _print_report(band: BandpassInterval, rep, fmt: str) -> None:
+    data = {
         "schema": 1,
-        "mode": mode,
+        "mode": band.mode,
         "band": {"a": band.a, "b": band.b},
         "subspace": rep.subspace,
         "delay": rep.delay,
@@ -115,25 +123,22 @@ def _report_dict(mode: str, band: BandpassInterval, rep) -> dict:
         "error_estimate": rep.error_estimate,
         "converged": rep.converged,
     }
-
-
-def _print_report(mode: str, band: BandpassInterval, rep, fmt: str) -> None:
-    data = _report_dict(mode, band, rep)
     if fmt == "json":
         print(_json_dumps(data))
         return
-    flat = dict(data)
-    flat["band"] = f"[{_num(band.a)}, {_num(band.b)}]"
-    for key, value in flat.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _num(value)
-        elif value is None:
+    data["band"] = f"[{_num(band.a)}, {_num(band.b)}]"
+    for key, value in data.items():
+        if value is None:
             text = "none"
+        elif isinstance(value, str):
+            text = value
         else:
-            text = str(value)
+            text = _scalar(value)
         print(f"{key:15} {text}")
+
+
+#: what a valid band of each mode needs
+_BAND_NEEDS = {"analog": "a < b and a finite b - a", "digital": "0 < a < b < 2*pi"}
 
 
 def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | None:
@@ -146,94 +151,78 @@ def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | Non
         return None
 
 
-def cmd_analog(args) -> int:
-    band = _band("analog", args.a, args.b)
-    if band is None:
-        return _fail(
-            f"invalid analog band [{args.a!r}, {args.b!r}]: need a < b and a finite b - a", 2
-        )
-    if args.delay is None:
-        rep = analog.causal_report(band)
-    else:
-        if not (math.isfinite(args.delay) and args.delay >= 0.0):
-            return _fail("delay must be a nonnegative real", 2)
-        rep = analog.delayed_report(band, AnalogDelay(args.delay))
-    _print_report("analog", band, rep, args.format)
-    return 0
+def _band_error(mode: str, args) -> int:
+    return _fail(f"invalid {mode} band [{args.a!r}, {args.b!r}]: need {_BAND_NEEDS[mode]}", 2)
 
 
-def cmd_digital(args) -> int:
-    band = _band("digital", args.a, args.b)
+def _look_ahead_error(args) -> int | None:
+    """Exit 2 on a given --delay or --delay-samples out of range; None otherwise."""
+    delay = getattr(args, "delay", None)
+    if delay is not None and not (math.isfinite(delay) and delay >= 0.0):
+        return _fail("delay must be a nonnegative real", 2)
+    samples = getattr(args, "delay_samples", None)
+    if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
+        return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
+    return None
+
+
+def _report(band: BandpassInterval, look_ahead):
+    """The report at look-ahead T (analog) or N (digital); None is 0, the causal report."""
+    if band.mode == "analog":
+        return analog.delayed_report(band, AnalogDelay(look_ahead or 0.0))
+    return digital.delayed_report_digital(band, DigitalDelay(look_ahead or 0))
+
+
+def cmd_report(args) -> int:
+    mode = args.command
+    band = _band(mode, args.a, args.b)
     if band is None:
-        return _fail(
-            f"invalid digital band [{args.a!r}, {args.b!r}]: need 0 < a < b < 2*pi", 2
-        )
-    if args.coeffs is not None:
+        return _band_error(mode, args)
+    if getattr(args, "coeffs", None) is not None:
         code = _reject_unused(args, ("delay_samples", "format"), "coefficient tables")
         if code is not None:
             return code
         if not 0 <= args.coeffs < _MAX_ROWS // 2:
             return _fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})", 2)
         table = digital.FourierCoefficientTable.build(band, -args.coeffs, args.coeffs)
-        lines = ["k,re,im"]
-        for k, value in zip(table.indices(), table.values):
-            lines.append(f"{int(k)},{_num(value.real)},{_num(value.imag)}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    if args.delay_samples is None:
-        rep = digital.causal_report_digital(band)
-    else:
-        if not 0 <= args.delay_samples <= _MAX_DELAY_SAMPLES:
-            return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
-        rep = digital.delayed_report_digital(band, DigitalDelay(args.delay_samples))
-    _print_report("digital", band, rep, args.format or "json")
+        return _emit(_csv("k,re,im", table.indices(), table.values, int), None)
+    code = _look_ahead_error(args)
+    if code is not None:
+        return code
+    look_ahead = args.delay if mode == "analog" else args.delay_samples
+    _print_report(band, _report(band, look_ahead), args.format or "json")
     return 0
 
 
-def _sweep_rows(args, params) -> list | int:
+def _sweep_rows(args, params: list[float]) -> list | int:
+    """(param, report) for each point, or the exit code of the first invalid one."""
+    mode = args.mode
+    if args.vary == "delay":
+        band = _band(mode, args.a, args.b)
+        if band is None:
+            return _fail(f"delay sweep needs a valid --a/--b {mode} band", 2)
+    look_ahead = args.delay if mode == "analog" else args.delay_samples
     rows = []
     for p in params:
-        p = float(p)
-        if args.mode == "analog":
-            if args.vary == "bandwidth":
+        if args.vary == "bandwidth":
+            if mode == "analog":
                 if p <= 0.0:
                     return _fail("bandwidth values must be positive", 2)
                 band = BandpassInterval.analog(0.0, p)
-                if args.delay is None:
-                    rep = analog.causal_report(band)
-                else:
-                    rep = analog.delayed_report(band, AnalogDelay(args.delay))
             else:
-                band = _band("analog", args.a, args.b)
-                if band is None:
-                    return _fail("delay sweep needs a valid --a/--b analog band", 2)
-                if p < 0.0:
-                    return _fail("delay values must be nonnegative", 2)
-                rep = analog.delayed_report(band, AnalogDelay(p))
-        else:
-            if args.vary == "bandwidth":
                 try:
                     band = digital._band_of_width(p)
                 except DomainError as exc:
                     return _fail(str(exc), 2)
-                if args.delay_samples is None:
-                    rep = digital.causal_report_digital(band)
-                else:
-                    rep = digital.delayed_report_digital(
-                        band, DigitalDelay(args.delay_samples)
-                    )
-            else:
-                band = _band("digital", args.a, args.b)
-                if band is None:
-                    return _fail("delay sweep needs a valid --a/--b digital band", 2)
-                if abs(p - round(p)) > 1e-9 or not 0.0 <= p <= _MAX_DELAY_SAMPLES:
-                    return _fail(
-                        "digital delay sweep values must be integers in "
-                        "[0, 2**53 - 1]",
-                        2,
-                    )
-                rep = digital.delayed_report_digital(band, DigitalDelay(int(round(p))))
-        rows.append((p, rep))
+        elif mode == "analog":
+            if p < 0.0:
+                return _fail("delay values must be nonnegative", 2)
+            look_ahead = p
+        else:
+            if abs(p - round(p)) > 1e-9 or not 0.0 <= p <= _MAX_DELAY_SAMPLES:
+                return _fail("digital delay sweep values must be integers in [0, 2**53 - 1]", 2)
+            look_ahead = int(round(p))
+        rows.append((p, _report(band, look_ahead)))
     return rows
 
 
@@ -274,11 +263,9 @@ def cmd_sweep(args) -> int:
         return _fail("range must satisfy LO < HI with a finite HI - LO", 2)
     if not 2 <= args.steps <= _MAX_ROWS:
         return _fail(f"need between 2 and {_MAX_ROWS} steps", 2)
-    if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
-        return _fail("delay must be a nonnegative real", 2)
-    samples = args.delay_samples
-    if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
-        return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
+    code = _look_ahead_error(args)
+    if code is not None:
+        return code
     rows = _sweep_rows(args, _linspace(lo, hi, args.steps))
     if isinstance(rows, int):
         return rows
@@ -292,14 +279,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impulse(args) -> int:
-    unused = ("window", "delay_samples") if args.mode == "analog" else ("t_max", "dt", "delay")
-    code = _reject_unused(args, unused, f"{args.mode} impulse responses")
+    mode = args.mode
+    unused = ("window", "delay_samples") if mode == "analog" else ("t_max", "dt", "delay")
+    code = _reject_unused(args, unused, f"{mode} impulse responses") or _look_ahead_error(args)
     if code is not None:
         return code
-    if args.mode == "analog":
-        band = _band("analog", args.a, args.b)
-        if band is None:
-            return _fail("invalid analog band: need a < b and a finite b - a", 2)
+    band = _band(mode, args.a, args.b)
+    if band is None:
+        return _band_error(mode, args)
+    if mode == "analog":
         if args.t_max is None or args.dt is None:
             return _fail("analog impulse needs --t-max and --dt", 2)
         if not (0.0 < args.t_max < math.inf and 0.0 < args.dt < math.inf):
@@ -307,8 +295,6 @@ def cmd_impulse(args) -> int:
         steps = 2.0 * args.t_max / args.dt
         if not steps < _MAX_ROWS:
             return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
-        if args.delay is not None and not (math.isfinite(args.delay) and args.delay >= 0.0):
-            return _fail("delay must be a nonnegative real", 2)
         n = int(round(steps)) + 1
         try:
             sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
@@ -316,30 +302,16 @@ def cmd_impulse(args) -> int:
             return _fail(str(exc), 2)
         if args.delay is not None:
             sig = truncate_to_delay_analog(sig, AnalogDelay(args.delay))
-        axis = sig.times()
-        values = sig.values
+        text = _csv("index_or_time,re,im", sig.times(), sig.values, _num)
     else:
-        band = _band("digital", args.a, args.b)
-        if band is None:
-            return _fail("invalid digital band: need 0 < a < b < 2*pi", 2)
         if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:
             return _fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})", 2)
         K = args.window
         seq = digital.best_causal_coefficients(band, DigitalDelay(K), K)
         if args.delay_samples is not None:
-            if args.delay_samples < 0:
-                return _fail("delay-samples must be nonnegative", 2)
             seq = truncate_to_delay(seq, DigitalDelay(args.delay_samples))
-        axis = seq.indices()
-        values = seq.values
-    lines = ["index_or_time,re,im"]
-    if args.mode == "analog":
-        for x, v in zip(axis, values):
-            lines.append(f"{_num(x)},{_num(v.real)},{_num(v.imag)}")
-    else:
-        for x, v in zip(axis, values):
-            lines.append(f"{int(x)},{_num(v.real)},{_num(v.imag)}")
-    return _emit("\n".join(lines) + "\n", args.out)
+        text = _csv("index_or_time,re,im", seq.indices(), seq.values, int)
+    return _emit(text, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -391,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--b", type=float, required=True, help="upper band edge")
     pa.add_argument("--delay", type=float, default=None, help="look-ahead T (causal if omitted)")
     pa.add_argument("--format", choices=("json", "text"), default="json")
-    pa.set_defaults(func=cmd_analog)
+    pa.set_defaults(func=cmd_report)
 
     pd = sub.add_parser("digital", help="report for a digital band in (0, 2*pi)")
     pd.add_argument("--a", type=float, required=True)
@@ -399,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--delay-samples", type=int, default=None, help="look-ahead N (causal if omitted)")
     pd.add_argument("--coeffs", type=int, default=None, metavar="K", help="emit c_-K..c_K as CSV instead of a report")
     pd.add_argument("--format", choices=("json", "text"), default=None, help="json if omitted")
-    pd.set_defaults(func=cmd_digital)
+    pd.set_defaults(func=cmd_report)
 
     ps = sub.add_parser("sweep", help="CSV of reports along a parameter range")
     ps.add_argument("--mode", choices=("analog", "digital"), required=True)

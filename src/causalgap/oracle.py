@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .analog import _block_energies, delayed_distance_si
+from .analog import _block_energies, delayed_distance_si, delayed_report
 from .digital import _band_of_width, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
@@ -163,6 +163,13 @@ def _check_ladder(ladder) -> list[float]:
     return vals
 
 
+def _analog_band_of_width(c: float) -> BandpassInterval:
+    """The analog band [0, c]; DomainError unless c > 0."""
+    if not c > 0.0:
+        raise DomainError("bandwidth rungs must be positive")
+    return BandpassInterval.analog(0.0, c)
+
+
 def limit_probe(
     quantity: str,
     ladder,
@@ -171,7 +178,10 @@ def limit_probe(
 ) -> LimitProbeResult:
     """Evaluate a distance or angle along a parameter ladder and fit its limit.
 
-    quantity selects what varies and what is measured:
+    Each value is read off the public report functions (delayed_report,
+    delayed_report_digital), except dT_vs_T, which takes the bare
+    delayed_distance_si that those reports are built on.  quantity selects
+    what varies and what is measured:
 
     * ``dT_vs_T``: distance to the delay-T filters as T runs over the
       ladder, for the fixed analog band (required).
@@ -185,56 +195,32 @@ def limit_probe(
       DigitalDelay, analog delay-T if delay is an AnalogDelay.
     """
     rungs = _check_ladder(ladder)
-    values: list[float] = []
-
+    candidate = bracket = None
     if quantity == "dT_vs_T":
         if band is None or band.mode != "analog":
             raise DomainError("dT_vs_T needs an analog band")
-        for T in rungs:
-            values.append(delayed_distance_si(band, AnalogDelay(T)))
+        # deep look-aheads: the bare distance, without building a report per rung
+        values = [delayed_distance_si(band, AnalogDelay(T)) for T in rungs]
     elif quantity == "dT_vs_bandwidth":
         if not isinstance(delay, AnalogDelay):
             raise DomainError("dT_vs_bandwidth needs an AnalogDelay")
-        for c in rungs:
-            if c <= 0.0:
-                raise DomainError("bandwidth rungs must be positive")
-            values.append(delayed_distance_si(BandpassInterval.analog(0.0, c), delay))
+        values = [delayed_report(_analog_band_of_width(c), delay).distance for c in rungs]
+        if delay.T > 0.0:
+            candidate = 1.0 / math.sqrt(math.pi * delay.T)
+            bracket = (0.0, TWO_PI / delay.T)
     elif quantity == "thetaN_vs_N":
         if band is None or band.mode != "digital":
             raise DomainError("thetaN_vs_N needs a digital band")
-        for N in rungs:
-            if N != int(N) or N < 0:
-                raise DomainError("look-ahead rungs must be nonnegative integers")
-            values.append(
-                delayed_report_digital(band, DigitalDelay(int(N))).angle
-            )
+        if any(N != int(N) or N < 0 for N in rungs):
+            raise DomainError("look-ahead rungs must be nonnegative integers")
+        values = [delayed_report_digital(band, DigitalDelay(int(N))).angle for N in rungs]
+    elif quantity == "theta_vs_bandwidth" and isinstance(delay, AnalogDelay):
+        values = [delayed_report(_analog_band_of_width(c), delay).angle for c in rungs]
     elif quantity == "theta_vs_bandwidth":
-        if isinstance(delay, AnalogDelay):
-            for c in rungs:
-                if c <= 0.0:
-                    raise DomainError("bandwidth rungs must be positive")
-                b = BandpassInterval.analog(0.0, c)
-                d = delayed_distance_si(b, delay)
-                values.append(math.asin(min(1.0, d / math.sqrt(c))))
-        else:
-            dd = delay if isinstance(delay, DigitalDelay) else DigitalDelay(0)
-            for c in rungs:
-                values.append(
-                    delayed_report_digital(_band_of_width(c), dd).angle
-                )
+        dd = delay if isinstance(delay, DigitalDelay) else DigitalDelay(0)
+        values = [delayed_report_digital(_band_of_width(c), dd).angle for c in rungs]
     else:
         raise DomainError(f"unknown probe quantity {quantity!r}")
-
-    result_extra: dict = {}
-    if quantity == "dT_vs_bandwidth":
-        assert isinstance(delay, AnalogDelay)
-        if delay.T > 0.0:
-            result_extra["candidate_limit"] = 1.0 / math.sqrt(math.pi * delay.T)
-            result_extra["reference_bracket"] = (0.0, TWO_PI / delay.T)
-
     return LimitProbeResult(
-        quantity=quantity,
-        rows=tuple(zip(rungs, values)),
-        fitted_limit=_extrapolate(values),
-        **result_extra,
+        quantity, tuple(zip(rungs, values)), _extrapolate(values), candidate, bracket
     )

@@ -208,6 +208,26 @@ class TestReportJson:
         assert rows["distance"] == "1"
         assert rows["converged"] == "true"
 
+    def test_text_fields_equal_the_json_report(self, capsys):
+        args = ("digital", "--a", "2", "--b", "4", "--delay-samples", "3")
+        _, out, _ = run_main(capsys, *args)
+        data = json.loads(out)
+        code, out, _ = run_main(capsys, *args, "--format", "text")
+        assert code == 0
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        assert list(rows) == list(data)
+        assert rows.pop("band") == "[2, 4]" and data.pop("band") == {"a": 2.0, "b": 4.0}
+        for key, value in data.items():
+            if isinstance(value, bool):
+                assert rows[key] == ("true" if value else "false")
+            elif isinstance(value, int):
+                assert rows[key] == str(value)
+            elif isinstance(value, float):
+                assert float(rows[key]) == value
+            else:
+                assert rows[key] == value
+        assert (rows["subspace"], rows["delay"]) == ("Delayed", "3")
+
 
 class TestCsvOutputs:
     def test_coefficient_table(self, capsys):
@@ -267,19 +287,52 @@ class TestCsvOutputs:
         assert angles[0] < 0.25 * math.pi
         assert angles[-1] > 0.0
 
-    def test_sweep_csv_parses_back_to_exact_doubles(self, capsys):
-        code, out, _ = run_main(
-            capsys, "sweep", "--mode", "digital", "--vary", "delay",
-            "--range", "0", "4", "--steps", "5", "--a", "2", "--b", "4",
-        )
+    @pytest.mark.parametrize(
+        "args, report",
+        [
+            (
+                ("--mode", "analog", "--vary", "bandwidth", "--range", "0.25", "6",
+                 "--steps", "24", "--delay", "0.5"),
+                lambda p: delayed_report(BandpassInterval.analog(0.0, p), AnalogDelay(0.5)),
+            ),
+            (
+                ("--mode", "analog", "--vary", "delay", "--range", "0", "50",
+                 "--steps", "21", "--a", "-1.5", "--b", "0.5"),
+                lambda p: delayed_report(BandpassInterval.analog(-1.5, 0.5), AnalogDelay(p)),
+            ),
+            (
+                # the band of width p centred on pi
+                ("--mode", "digital", "--vary", "bandwidth", "--range", "0.25", "6",
+                 "--steps", "24", "--delay-samples", "16"),
+                lambda p: delayed_report_digital(
+                    BandpassInterval.digital(math.pi - 0.5 * p, math.pi + 0.5 * p),
+                    DigitalDelay(16),
+                ),
+            ),
+            (
+                ("--mode", "digital", "--vary", "delay", "--range", "0", "4",
+                 "--steps", "5", "--a", "2", "--b", "4"),
+                lambda p: delayed_report_digital(
+                    BandpassInterval.digital(2.0, 4.0), DigitalDelay(int(p))
+                ),
+            ),
+        ],
+        ids=["analog-bandwidth", "analog-delay", "digital-bandwidth", "digital-delay"],
+    )
+    def test_sweep_csv_parses_back_to_exact_doubles(self, capsys, args, report):
+        code, out, _ = run_main(capsys, "sweep", *args)
         assert code == 0
-        band = BandpassInterval.digital(2.0, 4.0)
-        for line in out.strip().splitlines()[1:]:
-            cells = line.split(",")
-            rep = delayed_report_digital(band, DigitalDelay(int(float(cells[0]))))
+        lo, hi = (float(x) for x in args[args.index("--range") + 1:][:2])
+        steps = int(args[args.index("--steps") + 1])
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(cells[0]) for cells in rows] == np.linspace(lo, hi, steps).tolist()
+        for cells in rows:
+            rep = report(float(cells[0]))
             assert float(cells[1]) == rep.distance
             assert float(cells[2]) == rep.angle
             assert float(cells[3]) == rep.kernel_norm
+            assert cells[4] == rep.method
+            assert float(cells[5]) == rep.error_estimate
 
     def test_sweep_analog_delay_distances_fall_from_causal(self, capsys):
         code, out, _ = run_main(
@@ -415,6 +468,9 @@ class TestExitCodes:
              "--window", "4", "--delay", "1.5"),
             ("digital", "--a", "2", "--b", "4", "--coeffs", "1", "--delay-samples", "3"),
             ("digital", "--a", "2", "--b", "4", "--coeffs", "1", "--format", "text"),
+            # impulse alone took a look-ahead above 2**53 - 1 and exited 0
+            ("impulse", "--mode", "digital", "--a", "2", "--b", "4", "--window", "2",
+             "--delay-samples", "100000000000000000000"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):

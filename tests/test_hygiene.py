@@ -1,17 +1,21 @@
 """Import hygiene of each module, read from its syntax tree.
 
-Every top-level import is read somewhere in its module, and every name a
-module lists in __all__ is defined there: the package's __init__ is the
-one place that gathers names from other modules.
+Every top-level import is read somewhere in its module, every name a
+module lists in __all__ is defined there (the package's __init__ is the
+one place that gathers names from other modules), and every private
+top-level function, class or constant (a leading underscore, or left out
+of its module's __all__) is read somewhere in the package.
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "causalgap"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+FILES = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = [name for name in FILES if name != "__init__.py"]
 
 
 def _tree(name: str) -> ast.Module:
@@ -61,3 +65,38 @@ def test_all_lists_only_names_defined_here(name):
                 exported = ast.literal_eval(node.value)
     foreign = [n for n in exported if n not in defined]
     assert not foreign, f"{name} re-exports names defined elsewhere: {foreign}"
+
+
+@functools.cache
+def _read_anywhere() -> frozenset[str]:
+    """Every name or attribute loaded anywhere in the package sources."""
+    read = set()
+    for name in FILES:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return frozenset(read)
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_every_private_top_level_name_is_read(name):
+    # private: a leading underscore, or left out of the module's __all__
+    defined = {}
+    exported = None
+    for node in _top_level(_tree(name)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined.update((n, node.lineno) for n in names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    private = {
+        n: line for n, line in defined.items()
+        if not n.startswith("__") and (n.startswith("_") or exported is not None and n not in exported)
+    }
+    orphans = {n: line for n, line in private.items() if n not in _read_anywhere()}
+    assert not orphans, f"{name} defines private names nothing in src/ reads: {orphans}"

@@ -161,6 +161,17 @@ class TestLimitProbe:
         )
         assert abs(probe.fitted_limit - 0.25 * math.pi) <= 1e-3
 
+    @pytest.mark.parametrize("T", [0.0, 1.0])
+    def test_analog_bandwidth_rows_are_the_report_values(self, T):
+        # the angle rows once came from a hand-written arcsin, 1 ulp off pi/4 at T = 0
+        delay = AnalogDelay(T)
+        ladder = [0.5, 1.0, 2.0, 3.0]
+        angles = limit_probe("theta_vs_bandwidth", ladder, delay=delay).rows
+        distances = limit_probe("dT_vs_bandwidth", ladder, delay=delay).rows
+        for (c, angle), (_, distance) in zip(angles, distances):
+            rep = delayed_report(BandpassInterval.analog(0.0, c), delay)
+            assert (angle, distance) == (rep.angle, rep.distance)
+
     def test_wide_band_distance_probe_reports_reference_data(self):
         probe = limit_probe(
             "dT_vs_bandwidth", [10.0, 1e2, 1e3, 1e4], delay=AnalogDelay(1.0)
