@@ -2,18 +2,18 @@
 
 Each report and sweep row is the delayed report of its band at its
 look-ahead; an omitted look-ahead is 0, whose report is the causal one.
-Every command checks --delay (finite, >= 0) and --delay-samples (an
-integer in [0, _MAX_DELAY_SAMPLES]) the same way.
+The bands and delays state the rules on their inputs (BandpassInterval
+the edges, AnalogDelay --delay, DigitalDelay --delay-samples, whose bound
+keeps the tail sums exact for library callers too); the CLI builds them
+and reports their message.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid band or
-parameters (also a table or sweep of more than _MAX_ROWS rows, an analog
-impulse grid on which c t or the band center times t overflows, a
-look-ahead beyond _MAX_DELAY_SAMPLES in digital, sweep or impulse, or a
-sweep, impulse or --coeffs option that does not apply to the chosen mode
-or varied parameter or to a coefficient table), 4 unwritable output (an
---out path that cannot be opened, or a stdout whose reader has closed
-it).  Code 3 is not used.  An option value may be a negative
-number with an exponent or an infinity, such as --a -1e-3 or
+parameters (what a band, a delay or an analog impulse grid refuses, with
+its message, or a rule of the CLI's own: at most _MAX_ROWS rows in a table
+or sweep, and no sweep, impulse or --coeffs option that does not apply),
+4 unwritable output (an --out path that cannot be opened, or a stdout
+whose reader has closed it).  Code 3 is not used.  An option value may be
+a negative number with an exponent or an infinity, such as --a -1e-3 or
 --range -inf 1.
 
 All numeric output uses 17 significant digits so every value parses back
@@ -40,9 +40,6 @@ __all__ = ["main"]
 
 #: most rows a table or sweep may print, checked before anything is allocated
 _MAX_ROWS = 10**6
-#: largest digital look-ahead: the tail sums start at N + 1, which must stay
-#: exact in double precision
-_MAX_DELAY_SAMPLES = 2**53 - 1
 
 #: a negative float literal: argparse's own pattern has no exponent and no
 #: infinity, so it took -1e-3 or -inf for an option name
@@ -83,21 +80,31 @@ def _json_dumps(obj, level: int = 0) -> str:
     return "{\n" + ",\n".join(rows) + "\n" + "  " * level + "}"
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"causalgap: error: {message}", file=sys.stderr)
-    return code
+class _Fail(Exception):
+    """Ends a command: main prints the message to stderr and returns the code."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
-def _emit(text: str, path: str | None) -> int:
+def _valid(make, *args):
+    """make(*args); the ValueError by which it refuses an input exits 2 with its message."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise _Fail(str(exc)) from None
+
+
+def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        return 0
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {path!r}: {exc}", 4)
-    return 0
+        raise _Fail(f"cannot write {path!r}: {exc}", 4) from None
 
 
 def _csv(header: str, axis, values, label) -> str:
@@ -137,104 +144,40 @@ def _print_report(band: BandpassInterval, rep, fmt: str) -> None:
         print(f"{key:15} {text}")
 
 
-#: what a valid band of each mode needs
-_BAND_NEEDS = {"analog": "a < b and a finite b - a", "digital": "0 < a < b < 2*pi"}
+def _delay(mode: str, look_ahead):
+    """AnalogDelay(T) or DigitalDelay(N) by mode; None is 0, the causal look-ahead."""
+    if mode == "analog":
+        return _valid(AnalogDelay, look_ahead or 0.0)
+    return _valid(DigitalDelay, look_ahead or 0)
 
 
-def _band(mode: str, a: float | None, b: float | None) -> BandpassInterval | None:
-    """The band [a, b], or None when an edge is missing or the band is invalid."""
-    if a is None or b is None:
-        return None
-    try:
-        return BandpassInterval(a, b, mode)
-    except ValueError:
-        return None
-
-
-def _band_error(mode: str, args) -> int:
-    return _fail(f"invalid {mode} band [{args.a!r}, {args.b!r}]: need {_BAND_NEEDS[mode]}", 2)
-
-
-def _look_ahead_error(args) -> int | None:
-    """Exit 2 on a given --delay or --delay-samples out of range; None otherwise."""
-    delay = getattr(args, "delay", None)
-    if delay is not None and not (math.isfinite(delay) and delay >= 0.0):
-        return _fail("delay must be a nonnegative real", 2)
-    samples = getattr(args, "delay_samples", None)
-    if samples is not None and not 0 <= samples <= _MAX_DELAY_SAMPLES:
-        return _fail("delay-samples must be an integer in [0, 2**53 - 1]", 2)
-    return None
-
-
-def _report(band: BandpassInterval, look_ahead):
-    """The report at look-ahead T (analog) or N (digital); None is 0, the causal report."""
+def _report(band: BandpassInterval, delay):
+    """The report of band at delay, an AnalogDelay or DigitalDelay of its mode."""
     if band.mode == "analog":
-        return analog.delayed_report(band, AnalogDelay(look_ahead or 0.0))
-    return digital.delayed_report_digital(band, DigitalDelay(look_ahead or 0))
+        return analog.delayed_report(band, delay)
+    return digital.delayed_report_digital(band, delay)
 
 
 def cmd_report(args) -> int:
     mode = args.command
-    band = _band(mode, args.a, args.b)
-    if band is None:
-        return _band_error(mode, args)
+    band = _valid(BandpassInterval, args.a, args.b, mode)
     if getattr(args, "coeffs", None) is not None:
-        code = _reject_unused(args, ("delay_samples", "format"), "coefficient tables")
-        if code is not None:
-            return code
+        _reject_unused(args, ("delay_samples", "format"), "coefficient tables")
         if not 0 <= args.coeffs < _MAX_ROWS // 2:
-            return _fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})", 2)
+            raise _Fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})")
         table = digital.FourierCoefficientTable.build(band, -args.coeffs, args.coeffs)
-        return _emit(_csv("k,re,im", table.indices(), table.values, int), None)
-    code = _look_ahead_error(args)
-    if code is not None:
-        return code
+        _emit(_csv("k,re,im", table.indices(), table.values, int), None)
+        return 0
     look_ahead = args.delay if mode == "analog" else args.delay_samples
-    _print_report(band, _report(band, look_ahead), args.format or "json")
+    _print_report(band, _report(band, _delay(mode, look_ahead)), args.format or "json")
     return 0
 
 
-def _sweep_rows(args, params: list[float]) -> list | int:
-    """(param, report) for each point, or the exit code of the first invalid one."""
-    mode = args.mode
-    if args.vary == "delay":
-        band = _band(mode, args.a, args.b)
-        if band is None:
-            return _fail(f"delay sweep needs a valid --a/--b {mode} band", 2)
-    look_ahead = args.delay if mode == "analog" else args.delay_samples
-    rows = []
-    for p in params:
-        if args.vary == "bandwidth":
-            if mode == "analog":
-                if p <= 0.0:
-                    return _fail("bandwidth values must be positive", 2)
-                band = BandpassInterval.analog(0.0, p)
-            else:
-                try:
-                    band = digital._band_of_width(p)
-                except DomainError as exc:
-                    return _fail(str(exc), 2)
-        elif mode == "analog":
-            if p < 0.0:
-                return _fail("delay values must be nonnegative", 2)
-            look_ahead = p
-        else:
-            if abs(p - round(p)) > 1e-9 or not 0.0 <= p <= _MAX_DELAY_SAMPLES:
-                return _fail("digital delay sweep values must be integers in [0, 2**53 - 1]", 2)
-            look_ahead = int(round(p))
-        rows.append((p, _report(band, look_ahead)))
-    return rows
-
-
-def _reject_unused(args, names: tuple[str, ...], where: str) -> int | None:
-    """Exit 2 naming the first given option of names, which where would ignore.
-
-    None when none of them was given.
-    """
+def _reject_unused(args, names: tuple[str, ...], where: str) -> None:
+    """Exit 2 naming the first given option of names, which where would ignore."""
     for name in names:
         if getattr(args, name) is not None:
-            return _fail(f"--{name.replace('_', '-')} does not apply to {where}", 2)
-    return None
+            raise _Fail(f"--{name.replace('_', '-')} does not apply to {where}")
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -251,67 +194,74 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.vary == "delay":
+    mode, vary = args.mode, args.vary
+    if vary == "delay":
         unused = ("delay", "delay_samples")
     else:
-        unused = ("a", "b", "delay_samples" if args.mode == "analog" else "delay")
-    code = _reject_unused(args, unused, f"{args.mode} {args.vary} sweeps")
-    if code is not None:
-        return code
+        unused = ("a", "b", "delay_samples" if mode == "analog" else "delay")
+    _reject_unused(args, unused, f"{mode} {vary} sweeps")
     lo, hi = args.range
     if not (lo < hi and math.isfinite(hi - lo)):
-        return _fail("range must satisfy LO < HI with a finite HI - LO", 2)
+        raise _Fail("range must satisfy LO < HI with a finite HI - LO")
     if not 2 <= args.steps <= _MAX_ROWS:
-        return _fail(f"need between 2 and {_MAX_ROWS} steps", 2)
-    code = _look_ahead_error(args)
-    if code is not None:
-        return code
-    rows = _sweep_rows(args, _linspace(lo, hi, args.steps))
-    if isinstance(rows, int):
-        return rows
+        raise _Fail(f"need between 2 and {_MAX_ROWS} steps")
+    if vary == "delay":
+        if args.a is None or args.b is None:
+            raise _Fail("delay sweep needs --a and --b")
+        band = _valid(BandpassInterval, args.a, args.b, mode)
+    else:
+        delay = _delay(mode, args.delay if mode == "analog" else args.delay_samples)
     lines = ["param,distance,angle,kernel_norm,method,error_estimate"]
-    for p, rep in rows:
+    for p in _linspace(lo, hi, args.steps):
+        if vary == "bandwidth" and mode == "analog":
+            band = _valid(BandpassInterval.analog, 0.0, p)
+        elif vary == "bandwidth":
+            band = _valid(digital._band_of_width, p)
+        elif mode == "analog":
+            delay = _delay(mode, p)
+        elif abs(p - round(p)) > 1e-9:  # the grid may carry rounding off an integer N
+            raise _Fail("digital delay sweep values must lie within 1e-9 of an integer")
+        else:
+            delay = _delay(mode, round(p))
+        rep = _report(band, delay)
         lines.append(
             f"{_num(p)},{_num(rep.distance)},{_num(rep.angle)},"
             f"{_num(rep.kernel_norm)},{rep.method},{_num(rep.error_estimate)}"
         )
-    return _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def cmd_impulse(args) -> int:
     mode = args.mode
     unused = ("window", "delay_samples") if mode == "analog" else ("t_max", "dt", "delay")
-    code = _reject_unused(args, unused, f"{mode} impulse responses") or _look_ahead_error(args)
-    if code is not None:
-        return code
-    band = _band(mode, args.a, args.b)
-    if band is None:
-        return _band_error(mode, args)
+    _reject_unused(args, unused, f"{mode} impulse responses")
+    band = _valid(BandpassInterval, args.a, args.b, mode)
+    look_ahead = args.delay if mode == "analog" else args.delay_samples
+    delay = None if look_ahead is None else _delay(mode, look_ahead)
     if mode == "analog":
         if args.t_max is None or args.dt is None:
-            return _fail("analog impulse needs --t-max and --dt", 2)
+            raise _Fail("analog impulse needs --t-max and --dt")
         if not (0.0 < args.t_max < math.inf and 0.0 < args.dt < math.inf):
-            return _fail("need finite --t-max > 0 and --dt > 0", 2)
+            raise _Fail("need finite --t-max > 0 and --dt > 0")
         steps = 2.0 * args.t_max / args.dt
         if not steps < _MAX_ROWS:
-            return _fail(f"2 * t-max / dt must stay below {_MAX_ROWS}", 2)
+            raise _Fail(f"2 * t-max / dt must stay below {_MAX_ROWS}")
         n = int(round(steps)) + 1
-        try:
-            sig = analog.AnalogImpulseResponse(band).sample(-args.t_max, args.dt, n)
-        except ValueError as exc:  # c t or the band center times t overflows on the grid
-            return _fail(str(exc), 2)
-        if args.delay is not None:
-            sig = truncate_to_delay_analog(sig, AnalogDelay(args.delay))
+        sig = _valid(analog.AnalogImpulseResponse(band).sample, -args.t_max, args.dt, n)
+        if delay is not None:
+            sig = truncate_to_delay_analog(sig, delay)
         text = _csv("index_or_time,re,im", sig.times(), sig.values, _num)
     else:
         if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:
-            return _fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})", 2)
+            raise _Fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})")
         K = args.window
         seq = digital.best_causal_coefficients(band, DigitalDelay(K), K)
-        if args.delay_samples is not None:
-            seq = truncate_to_delay(seq, DigitalDelay(args.delay_samples))
+        if delay is not None:
+            seq = truncate_to_delay(seq, delay)
         text = _csv("index_or_time,re,im", seq.indices(), seq.values, int)
-    return _emit(text, args.out)
+    _emit(text, args.out)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -322,11 +272,11 @@ def cmd_verify(args) -> int:
         try:
             seed = int(os.environ.get("CAUSALGAP_SEED", "0"))
         except ValueError:
-            return _fail("CAUSALGAP_SEED must be an integer", 2)
+            raise _Fail("CAUSALGAP_SEED must be an integer") from None
     try:
         results = verify.run_checks(args.suite, seed)
     except DomainError as exc:
-        return _fail(str(exc), 2)
+        raise _Fail(str(exc)) from None
     failed = 0
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
@@ -409,6 +359,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except _Fail as exc:
+        print(f"causalgap: error: {exc}", file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes nowhere at exit
         devnull = os.open(os.devnull, os.O_WRONLY)

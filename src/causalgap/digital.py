@@ -43,8 +43,6 @@ def _band_of_width(c: float) -> BandpassInterval:
     both edges round to pi, and within about ulp(pi) of 2 pi the upper edge
     rounds to 2 pi.
     """
-    if not 0.0 < c < TWO_PI:
-        raise DomainError("digital bandwidth must lie in (0, 2 pi)")
     try:
         return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
     except ValueError as exc:
@@ -205,5 +203,5 @@ def best_causal_coefficients(
     if window < N:
         raise ValueError("window must be at least the look-ahead")
     table = FourierCoefficientTable.build(band, -window, N)
-    return DigitalSequence(-N, table.values[::-1].copy())
+    return DigitalSequence._own(-N, table.values[::-1].copy())
 

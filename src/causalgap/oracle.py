@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .analog import _block_energies, delayed_distance_si, delayed_report
-from .digital import _band_of_width, delayed_report_digital
+from .analog import _block_energies, _require_analog, delayed_distance_si, delayed_report
+from .digital import _band_of_width, _require_digital, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
 from .signals import AnalogDelay, DigitalDelay
@@ -52,8 +52,7 @@ def analog_distance_oracle(
     sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); everything the
     grid cannot see beyond -R has energy at most 2 / (pi R).
     """
-    if band.mode != "analog":
-        raise ValueError("expected an analog band")
+    _require_analog(band)
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     if grid_radius < delay.T:
@@ -92,8 +91,7 @@ def digital_distance_oracle(
     """
     import numpy as np
 
-    if band.mode != "digital":
-        raise ValueError("expected a digital band")
+    _require_digital(band)
     N = delay.N
     if max_index <= N:
         raise DomainError("max_index must exceed the look-ahead")
@@ -163,13 +161,6 @@ def _check_ladder(ladder) -> list[float]:
     return vals
 
 
-def _analog_band_of_width(c: float) -> BandpassInterval:
-    """The analog band [0, c]; DomainError unless c > 0."""
-    if not c > 0.0:
-        raise DomainError("bandwidth rungs must be positive")
-    return BandpassInterval.analog(0.0, c)
-
-
 def limit_probe(
     quantity: str,
     ladder,
@@ -193,34 +184,44 @@ def limit_probe(
     * ``theta_vs_bandwidth``: angle as the bandwidth runs over the ladder;
       digital causal by default, digital with look-ahead if delay is a
       DigitalDelay, analog delay-T if delay is an AnalogDelay.
+
+    A rung that its band or delay refuses, such as a negative T or an N
+    beyond DigitalDelay's bound, raises DomainError with their message.
     """
     rungs = _check_ladder(ladder)
     candidate = bracket = None
-    if quantity == "dT_vs_T":
-        if band is None or band.mode != "analog":
-            raise DomainError("dT_vs_T needs an analog band")
-        # deep look-aheads: the bare distance, without building a report per rung
-        values = [delayed_distance_si(band, AnalogDelay(T)) for T in rungs]
-    elif quantity == "dT_vs_bandwidth":
-        if not isinstance(delay, AnalogDelay):
-            raise DomainError("dT_vs_bandwidth needs an AnalogDelay")
-        values = [delayed_report(_analog_band_of_width(c), delay).distance for c in rungs]
-        if delay.T > 0.0:
-            candidate = 1.0 / math.sqrt(math.pi * delay.T)
-            bracket = (0.0, TWO_PI / delay.T)
-    elif quantity == "thetaN_vs_N":
-        if band is None or band.mode != "digital":
-            raise DomainError("thetaN_vs_N needs a digital band")
-        if any(N != int(N) or N < 0 for N in rungs):
-            raise DomainError("look-ahead rungs must be nonnegative integers")
-        values = [delayed_report_digital(band, DigitalDelay(int(N))).angle for N in rungs]
-    elif quantity == "theta_vs_bandwidth" and isinstance(delay, AnalogDelay):
-        values = [delayed_report(_analog_band_of_width(c), delay).angle for c in rungs]
-    elif quantity == "theta_vs_bandwidth":
-        dd = delay if isinstance(delay, DigitalDelay) else DigitalDelay(0)
-        values = [delayed_report_digital(_band_of_width(c), dd).angle for c in rungs]
-    else:
-        raise DomainError(f"unknown probe quantity {quantity!r}")
+    try:
+        if quantity == "dT_vs_T":
+            if band is None or band.mode != "analog":
+                raise DomainError("dT_vs_T needs an analog band")
+            # deep look-aheads: the bare distance, without building a report per rung
+            values = [delayed_distance_si(band, AnalogDelay(T)) for T in rungs]
+        elif quantity == "dT_vs_bandwidth":
+            if not isinstance(delay, AnalogDelay):
+                raise DomainError("dT_vs_bandwidth needs an AnalogDelay")
+            values = [delayed_report(BandpassInterval.analog(0.0, c), delay).distance
+                      for c in rungs]
+            if delay.T > 0.0:
+                candidate = 1.0 / math.sqrt(math.pi * delay.T)
+                bracket = (0.0, TWO_PI / delay.T)
+        elif quantity == "thetaN_vs_N":
+            if band is None or band.mode != "digital":
+                raise DomainError("thetaN_vs_N needs a digital band")
+            if any(N != int(N) for N in rungs):
+                raise DomainError("look-ahead rungs must be integers")
+            values = [delayed_report_digital(band, DigitalDelay(int(N))).angle for N in rungs]
+        elif quantity == "theta_vs_bandwidth" and isinstance(delay, AnalogDelay):
+            values = [delayed_report(BandpassInterval.analog(0.0, c), delay).angle
+                      for c in rungs]
+        elif quantity == "theta_vs_bandwidth":
+            dd = delay if isinstance(delay, DigitalDelay) else DigitalDelay(0)
+            values = [delayed_report_digital(_band_of_width(c), dd).angle for c in rungs]
+        else:
+            raise DomainError(f"unknown probe quantity {quantity!r}")
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
     return LimitProbeResult(
         quantity, tuple(zip(rungs, values)), _extrapolate(values), candidate, bracket
     )

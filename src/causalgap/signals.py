@@ -25,13 +25,17 @@ class AnalogDelay(Frozen):
 
 
 class DigitalDelay(Frozen):
-    """Allowed look-ahead N >= 0 samples: kernels may extend down to n = -N."""
+    """Allowed look-ahead N samples: kernels may extend down to n = -N.
+
+    N is an integer in [0, 2**53 - 1]: the tail sums behind a report start
+    at index N + 1, which must stay exact in double precision.
+    """
 
     __slots__ = ("N",)
 
     def __init__(self, N: int) -> None:
-        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-            raise ValueError("delay N must be a nonnegative integer")
+        if not isinstance(N, int) or isinstance(N, bool) or not 0 <= N < 2**53:
+            raise ValueError("delay N must be a nonnegative integer below 2**53")
         object.__setattr__(self, "N", N)
 
 

@@ -172,6 +172,16 @@ class TestReportJson:
         ref = mpref.digital_distance(3.0, 10**11)
         assert mpref.rel_err(data["distance"], ref) <= 1e-14
 
+    def test_largest_digital_lookahead_is_accepted(self, capsys):
+        N = 2**53 - 1
+        code, out, _ = run_main(
+            capsys, "digital", "--a", "2", "--b", "4", "--delay-samples", str(N)
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["delay"] == N
+        assert mpref.rel_err(data["distance"], mpref.digital_distance(2.0, N)) <= 1e-14
+
     def test_zero_delay_output_equals_causal_output(self, capsys):
         _, with_delay, _ = run_main(capsys, "analog", "--a", "0", "--b", "2", "--delay", "0")
         _, without, _ = run_main(capsys, "analog", "--a", "0", "--b", "2")
@@ -471,6 +481,10 @@ class TestExitCodes:
             # impulse alone took a look-ahead above 2**53 - 1 and exited 0
             ("impulse", "--mode", "digital", "--a", "2", "--b", "4", "--window", "2",
              "--delay-samples", "100000000000000000000"),
+            # one past DigitalDelay's bound, given or swept
+            ("digital", "--a", "2", "--b", "4", "--delay-samples", "9007199254740992"),
+            ("sweep", "--mode", "digital", "--vary", "delay", "--range", "9007199254740990",
+             "9007199254740994", "--steps", "5", "--a", "2", "--b", "4"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, args):
@@ -721,6 +735,10 @@ class TestFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2, 4), (argv, code, err.getvalue())
+        if code in (2, 4):
+            # a refused argv prints nothing and names its error
+            assert out.getvalue() == "", (argv, code)
+            assert "error:" in err.getvalue(), (argv, code)
         if code == 0 and argv[0] in ("analog", "digital") and "--coeffs" not in argv:
             if "text" not in argv:
                 json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -231,7 +231,8 @@ class TestDelayedReportDigital:
 class TestFarLookahead:
     """Reports at every look-ahead come from the constant-cost tail."""
 
-    @pytest.mark.parametrize("N", [10**11, 10**15])
+    # 2**53 - 1 is the largest look-ahead DigitalDelay takes
+    @pytest.mark.parametrize("N", [10**11, 10**15, 2**53 - 1])
     @pytest.mark.parametrize("c", [1e-6, 1.0, math.pi, 2.25, TWO_PI - 1e-6])
     def test_against_lerch_reference(self, c, N):
         band = _centred_band(c)

@@ -136,6 +136,19 @@ class TestLimitProbe:
         assert probe.fitted_limit is not None
         assert abs(probe.fitted_limit) <= 1e-3
 
+    @pytest.mark.parametrize(
+        "quantity, ladder, band",
+        [
+            ("thetaN_vs_N", [1e15, 1e16, 1e17, 1e18], BandpassInterval.digital(1.0, 3.25)),
+            ("dT_vs_T", [-1.0, 0.0, 1.0, 2.0], BandpassInterval.analog(0.0, 2.0)),
+        ],
+        ids=["N-beyond-the-bound", "negative-T"],
+    )
+    def test_rung_the_delay_refuses_is_a_domain_error(self, quantity, ladder, band):
+        # the delay's own ValueError once escaped the probe
+        with pytest.raises(DomainError, match="delay"):
+            limit_probe(quantity, ladder, band=band)
+
     def test_lookahead_rungs_must_be_integers(self):
         with pytest.raises(DomainError):
             limit_probe("thetaN_vs_N", [1, 2, 2.5, 8], band=_half_circle())

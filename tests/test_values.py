@@ -260,6 +260,9 @@ class TestValidation:
             (lambda: DigitalDelay(-1), "delay N must be a nonnegative integer"),
             (lambda: DigitalDelay(1.0), "delay N must be a nonnegative integer"),
             (lambda: DigitalDelay(True), "delay N must be a nonnegative integer"),
+            # the tail sums start at N + 1, which must stay exact in double precision
+            (lambda: DigitalDelay(2**53), "delay N must be a nonnegative integer"),
+            (lambda: DigitalDelay(2**64), "delay N must be a nonnegative integer"),
             (lambda: SampledSignal(float("inf"), 1.0, [1.0]), "need finite t0 and dt > 0"),
             (lambda: SampledSignal(0.0, 0.0, [1.0]), "need finite t0 and dt > 0"),
             (lambda: SampledSignal(0.0, -1.0, [float("nan")]), "need finite t0 and dt > 0"),
