@@ -9,7 +9,9 @@ and digital (unit circle) settings, and ships the brute-force oracles used
 to validate every closed form.
 
 Outside verify, numpy is imported only inside the functions that build or
-reduce arrays, so scalar reports, sweeps and limit probes never load it.
+reduce arrays: the analog impulse response, operators, oracles and the
+coefficient tables.  Scalar reports, sweeps, limit probes and the command
+line's digital coefficient tables and impulse responses never load it.
 """
 
 from .errors import (

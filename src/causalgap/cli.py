@@ -2,6 +2,8 @@
 
 Each report and sweep row is the delayed report of its band at its
 look-ahead; an omitted look-ahead is 0, whose report is the causal one.
+A sweep builds every row's band and delay before its first report, so a
+row they refuse costs no report.
 The bands and delays state the rules on their inputs (BandpassInterval
 the edges, AnalogDelay --delay, DigitalDelay --delay-samples, whose bound
 keeps the tail sums exact for library callers too); the CLI builds them
@@ -16,6 +18,11 @@ whose reader has closed it).  Code 3 is not used.  An option value may be
 a negative number with an exponent or an infinity, such as --a -1e-3 or
 --range -inf 1.
 
+Only `verify` and the analog impulse response load numpy.  The digital
+coefficient tables and impulse responses are built one coefficient at a
+time by the formula FourierCoefficientTable uses, so they print the same
+bits as the library's tables.
+
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given
 argument list and seed; the CAUSALGAP_SEED environment variable supplies
@@ -25,6 +32,7 @@ the default seed for `verify`.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -33,7 +41,7 @@ import sys
 from . import analog, digital
 from .errors import DomainError
 from .kernel import BandpassInterval
-from .operators import truncate_to_delay, truncate_to_delay_analog
+from .operators import truncate_to_delay_analog
 from .signals import AnalogDelay, DigitalDelay
 
 __all__ = ["main"]
@@ -107,12 +115,12 @@ def _emit(text: str, path: str | None) -> None:
         raise _Fail(f"cannot write {path!r}: {exc}", 4) from None
 
 
-def _csv(header: str, axis, values, label) -> str:
-    """The header, then one label(x),re,im row per point of axis."""
-    lines = [header]
-    for x, v in zip(axis, values):
-        lines.append(f"{label(x)},{_num(v.real)},{_num(v.imag)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, labels, values) -> str:
+    """The header, then one label,re,im row per label and complex value."""
+    # one f-string per row: at the 10**6-row cap the float formatting is
+    # nearly all of the command's time
+    rows = [f"{x},{v.real:.17g},{v.imag:.17g}\n" for x, v in zip(labels, values)]
+    return header + "\n" + "".join(rows)
 
 
 def _print_report(band: BandpassInterval, rep, fmt: str) -> None:
@@ -165,8 +173,8 @@ def cmd_report(args) -> int:
         _reject_unused(args, ("delay_samples", "format"), "coefficient tables")
         if not 0 <= args.coeffs < _MAX_ROWS // 2:
             raise _Fail(f"coefficient window must lie in [0, {_MAX_ROWS // 2})")
-        table = digital.FourierCoefficientTable.build(band, -args.coeffs, args.coeffs)
-        _emit(_csv("k,re,im", table.indices(), table.values, int), None)
+        ks = range(-args.coeffs, args.coeffs + 1)
+        _emit(_csv("k,re,im", ks, digital._coefficients(band, ks)), None)
         return 0
     look_ahead = args.delay if mode == "analog" else args.delay_samples
     _print_report(band, _report(band, _delay(mode, look_ahead)), args.format or "json")
@@ -211,19 +219,25 @@ def cmd_sweep(args) -> int:
         band = _valid(BandpassInterval, args.a, args.b, mode)
     else:
         delay = _delay(mode, args.delay if mode == "analog" else args.delay_samples)
-    lines = ["param,distance,angle,kernel_norm,method,error_estimate"]
-    for p in _linspace(lo, hi, args.steps):
+
+    def row(p):
+        """The band and delay of the row at p; exit 2 if either is refused."""
         if vary == "bandwidth" and mode == "analog":
-            band = _valid(BandpassInterval.analog, 0.0, p)
-        elif vary == "bandwidth":
-            band = _valid(digital._band_of_width, p)
-        elif mode == "analog":
-            delay = _delay(mode, p)
-        elif abs(p - round(p)) > 1e-9:  # the grid may carry rounding off an integer N
+            return _valid(BandpassInterval.analog, 0.0, p), delay
+        if vary == "bandwidth":
+            return _valid(digital._band_of_width, p), delay
+        if mode == "analog":
+            return band, _delay(mode, p)
+        if abs(p - round(p)) > 1e-9:  # the grid may carry rounding off an integer N
             raise _Fail("digital delay sweep values must lie within 1e-9 of an integer")
-        else:
-            delay = _delay(mode, round(p))
-        rep = _report(band, delay)
+        return band, _delay(mode, round(p))
+
+    points = _linspace(lo, hi, args.steps)
+    for p in points:  # refuse a bad row before any report runs; keep none
+        row(p)
+    lines = ["param,distance,angle,kernel_norm,method,error_estimate"]
+    for p in points:
+        rep = _report(*row(p))
         lines.append(
             f"{_num(p)},{_num(rep.distance)},{_num(rep.angle)},"
             f"{_num(rep.kernel_norm)},{rep.method},{_num(rep.error_estimate)}"
@@ -251,15 +265,18 @@ def cmd_impulse(args) -> int:
         sig = _valid(analog.AnalogImpulseResponse(band).sample, -args.t_max, args.dt, n)
         if delay is not None:
             sig = truncate_to_delay_analog(sig, delay)
-        text = _csv("index_or_time,re,im", sig.times(), sig.values, _num)
+        values = map(complex, sig.values)  # Python complex formats faster than numpy's
+        text = _csv("index_or_time,re,im", map(_num, sig.times()), values)
     else:
         if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:
             raise _Fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})")
         K = args.window
-        seq = digital.best_causal_coefficients(band, DigitalDelay(K), K)
-        if delay is not None:
-            seq = truncate_to_delay(seq, delay)
-        text = _csv("index_or_time,re,im", seq.indices(), seq.values, int)
+        # h[n] = c_{-n} for n = -K..K, zeroed below -N, which N taps of
+        # look-ahead cannot reach; without --delay-samples nothing is zeroed
+        N = K if delay is None else min(delay.N, K)
+        kept = digital._coefficients(band, range(N, -K - 1, -1))
+        taps = itertools.chain([0j] * (K - N), kept)
+        text = _csv("index_or_time,re,im", range(-K, K + 1), taps)
     _emit(text, args.out)
     return 0
 

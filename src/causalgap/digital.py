@@ -11,6 +11,7 @@ kernel.oscillatory_tail_sum(c, N + 1) / (2 pi^2), one route at every N.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING
 
@@ -21,6 +22,8 @@ from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_
 from .signals import DigitalDelay, DigitalSequence
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 __all__ = [
@@ -47,6 +50,26 @@ def _band_of_width(c: float) -> BandpassInterval:
         return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
     except ValueError as exc:
         raise DomainError(f"digital bandwidth {c!r} has no band centred on pi: {exc}") from exc
+
+
+def _coefficient(k, c: float, center: float, sin, exp):
+    """c_k = sin(k c / 2) / (pi k) * exp(-i k center) for a float k != 0.
+
+    k is one float, with sin and exp math.sin and cmath.exp, or a float
+    array, with np.sin and np.exp; both kinds evaluate the same operations
+    in the same order, so they agree bit for bit.
+    """
+    return sin(0.5 * k * c) / (math.pi * k) * exp(-1j * k * center)
+
+
+def _coefficients(band: BandpassInterval, ks) -> Iterator[complex]:
+    """c_k for each integer k of ks, lazily and without numpy: bit for bit
+    the values of FourierCoefficientTable.build."""
+    c, center = band.bandwidth, band.center
+    c0 = complex(c / TWO_PI)
+    return (
+        _coefficient(float(k), c, center, math.sin, cmath.exp) if k else c0 for k in ks
+    )
 
 
 class FourierCoefficientTable(Frozen):
@@ -84,10 +107,7 @@ class FourierCoefficientTable(Frozen):
         vals = np.empty(k.shape, dtype=np.complex128)
         nz = k != 0
         kk = k[nz].astype(np.float64)
-        vals[nz] = (
-            np.sin(0.5 * kk * band.bandwidth) / (math.pi * kk)
-            * np.exp(-1j * kk * band.center)
-        )
+        vals[nz] = _coefficient(kk, band.bandwidth, band.center, np.sin, np.exp)
         vals[~nz] = band.bandwidth / TWO_PI
         return cls(band, k_min, vals)
 

@@ -21,9 +21,11 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     FourierCoefficientTable,
+    best_causal_coefficients,
     cli,
     delayed_report,
     delayed_report_digital,
+    truncate_to_delay,
 )
 from causalgap.verify import CheckResult
 
@@ -283,6 +285,22 @@ class TestCsvOutputs:
             else:
                 assert (float(re_s), float(im_s)) != (0.0, 0.0)
 
+    @pytest.mark.parametrize("K, N", [(1, None), (4, 0), (64, 4), (64, 100)])
+    def test_impulse_digital_is_the_truncated_best_filter(self, capsys, K, N):
+        # the CLI prints h[n] = c_{-n}, zeroed below -N, without numpy; the
+        # library's filter and truncation give the same text byte for byte
+        band = BandpassInterval.digital(2.0, 4.0)
+        argv = ["impulse", "--mode", "digital", "--a", "2", "--b", "4", "--window", str(K)]
+        seq = best_causal_coefficients(band, DigitalDelay(K), K)
+        if N is not None:
+            argv += ["--delay-samples", str(N)]
+            seq = truncate_to_delay(seq, DigitalDelay(N))
+        rows = [f"{n},{cli._num(v.real)},{cli._num(v.imag)}"
+                for n, v in zip(seq.indices(), seq.values)]
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        assert out == "\n".join(["index_or_time,re,im", *rows]) + "\n"
+
     def test_sweep_digital_bandwidth_angle_decreases(self, capsys):
         code, out, _ = run_main(
             capsys, "sweep", "--mode", "digital", "--vary", "bandwidth",
@@ -490,6 +508,34 @@ class TestExitCodes:
     def test_invalid_parameters_exit_2(self, capsys, args):
         code, _, err = run_main(capsys, *args)
         assert code == 2
+        assert "error" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the last of 65,537 rows is N = 2**53, which DigitalDelay refuses
+            ("sweep", "--mode", "digital", "--vary", "delay", "--range", "0",
+             "9007199254740992", "--steps", "65537", "--a", "2", "--b", "4"),
+            # the second row, 0.5, breaks the integer rule of digital delays
+            ("sweep", "--mode", "digital", "--vary", "delay",
+             "--range", "0", "4.5", "--steps", "10", "--a", "2", "--b", "4"),
+            # the last row's width, 6.3, leaves no band inside (0, 2 pi)
+            ("sweep", "--mode", "digital", "--vary", "bandwidth",
+             "--range", "1", "6.3", "--steps", "4"),
+        ],
+    )
+    def test_refused_row_runs_no_report(self, capsys, monkeypatch, args):
+        # every row's band and delay is checked before the first report
+        reports = []
+        report = cli._report
+
+        def counted(*row):
+            reports.append(row)
+            return report(*row)
+
+        monkeypatch.setattr(cli, "_report", counted)
+        code, out, err = run_main(capsys, *args)
+        assert (code, out, reports) == (2, "", [])
         assert "error" in err
 
     @pytest.mark.parametrize(
@@ -820,7 +866,7 @@ _SCALAR_ARGVS = [
 
 
 class TestWithoutNumpy:
-    """Reports and sweeps are scalar work and must not need numpy."""
+    """Reports, sweeps and digital tables are scalar work and must not need numpy."""
 
     def test_import_leaves_numpy_unloaded(self):
         script = "import sys, causalgap, causalgap.cli\nassert 'numpy' not in sys.modules\n"
@@ -846,9 +892,13 @@ class TestWithoutNumpy:
 
     def test_reports_and_sweeps_run_with_numpy_blocked(self):
         goldens = [(name, args) for name, args in GOLDEN_CASES
-                   if not name.startswith(("coeffs", "impulse"))]
-        assert len(goldens) == 5
+                   if name != "impulse_analog.csv"]
+        assert len(goldens) == 7
         others = [
+            # the digital table and impulse argvs of the benchmark's cli pool
+            ("digital", "--a", "1.25", "--b", "4.25", "--coeffs", "64"),
+            ("impulse", "--mode", "digital", "--a", "2.5", "--b", "3.75",
+             "--window", "64", "--delay-samples", "4"),
             ("analog", "--a", "0", "--b", "2", "--delay", "1.5"),
             ("sweep", "--mode", "analog", "--vary", "delay",
              "--range", "0", "50", "--steps", "21", "--a", "0", "--b", "2"),

@@ -21,7 +21,7 @@ from causalgap import (
     delayed_report_digital,
 )
 from causalgap.kernel import oscillatory_tail_sum
-from causalgap.digital import _band_of_width, _bracket, _report_from_bracket
+from causalgap.digital import _band_of_width, _bracket, _coefficients, _report_from_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +124,35 @@ class TestFourierCoefficientTable:
         band = _half_circle()
         defect = FourierCoefficientTable.build(band, -K, K).parseval_defect()
         assert defect <= 4.0 / (K * math.pi) + 1e-10
+
+
+class TestScalarCoefficients:
+    """The CLI's numpy-free route is bit for bit FourierCoefficientTable.build."""
+
+    @staticmethod
+    def _bands():
+        rng = np.random.default_rng(20261019)
+        edges = [tuple(sorted(rng.uniform(0.0, TWO_PI, 2))) for _ in range(12)]
+        edges += [
+            (math.pi, math.nextafter(math.pi, 4.0)),  # c = ulp(pi)
+            (1.0, 1.0 + 1e-12),
+            (1e-12, TWO_PI - 1e-12),
+            (5e-324, math.nextafter(TWO_PI, 0.0)),  # c one ulp below 2 pi
+            (0.5 * math.pi, 1.5 * math.pi),
+        ]
+        return [BandpassInterval.digital(a, b) for a, b in edges]
+
+    @pytest.mark.parametrize("window", [0, 1, 10**4])
+    def test_matches_the_table_bit_for_bit(self, window):
+        for band in self._bands():
+            ks = range(-window, window + 1)
+            table = FourierCoefficientTable.build(band, -window, window).values
+            scalar = np.array(list(_coefficients(band, ks)), dtype=np.complex128)
+            # int64 views tell signed zeros apart and compare NaN payloads
+            for part in ("real", "imag"):
+                got = getattr(scalar, part).view(np.int64)
+                want = getattr(table, part).view(np.int64)
+                assert np.array_equal(got, want), (band, window, part)
 
 
 class TestCausalReportDigital:
