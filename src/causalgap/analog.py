@@ -166,14 +166,10 @@ def _fill(band: BandpassInterval, n: int, times) -> np.ndarray:
     return out
 
 
-def _block_energies(band: BandpassInterval, n: int, times) -> list[float]:
-    """Sum of |h|^2 over each block of the n times, in order; times as for _fill.
-
-    Blocks start at multiples of _BLOCK whatever the number of parts, so
-    the sums do not depend on it.
-    """
-    parts = _in_parts(n, lambda lo, hi: _fill_range(band, times, lo, hi))
-    return [s for part in parts for s in part]
+def _sum_in_parts(n: int, run) -> float:
+    """The exact sum of the block sums run(lo, hi) lists for the parts of range(n);
+    blocks start at multiples of _BLOCK, so the parts do not change it."""
+    return math.fsum(s for part in _in_parts(n, run) for s in part)
 
 
 def _in_parts(n: int, run) -> list:
@@ -214,7 +210,8 @@ def _fill_range(band: BandpassInterval, times, lo: int, hi: int,
     With no out, nothing is written and the list of each block's sum of
     |h|^2 comes back instead: that is the sum of amp^2 for the real
     amplitude amp = (c / sqrt(2 pi)) sinc(c t / 2 pi), since the phase
-    exp(i center t) has modulus 1, so no complex value is formed.
+    exp(i center t) has modulus 1, so no complex value is formed.  np.sum
+    adds them: a BLAS dot product's sum varies with its thread count.
 
     Each block runs the literal form's own ufuncs, np.sinc's three steps
     (y = pi x, eps where y is zero, sin(y) / y) among them, into buffers
@@ -244,7 +241,7 @@ def _fill_range(band: BandpassInterval, times, lo: int, hi: int,
         np.divide(ak, yk, out=ak)
         np.multiply(c / SQRT_TWO_PI, ak, out=ak)
         if out is None:
-            sums.append(float(np.dot(ak, ak)))
+            sums.append(float(np.sum(np.multiply(ak, ak, out=ak))))
             continue
         block = out[start:stop]
         np.multiply(rot, t, out=block)

@@ -104,23 +104,27 @@ def _valid(make, *args):
         raise _Fail(str(exc)) from None
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(texts, path: str | None) -> None:
+    """Write each string of texts, as it comes, to stdout or to the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     except OSError as exc:
         raise _Fail(f"cannot write {path!r}: {exc}", 4) from None
 
 
-def _csv(header: str, labels, values) -> str:
-    """The header, then one label,re,im row per label and complex value."""
+def _csv(header: str, labels, values):
+    """The header, then one label,re,im row per label and complex value, in
+    strings of 4096 rows: a table is never held whole."""
     # one f-string per row: at the 10**6-row cap the float formatting is
     # nearly all of the command's time
-    rows = [f"{x},{v.real:.17g},{v.imag:.17g}\n" for x, v in zip(labels, values)]
-    return header + "\n" + "".join(rows)
+    rows = (f"{x},{v.real:.17g},{v.imag:.17g}\n" for x, v in zip(labels, values))
+    yield header + "\n"
+    while block := "".join(itertools.islice(rows, 4096)):
+        yield block
 
 
 def _print_report(band: BandpassInterval, rep, fmt: str) -> None:
@@ -242,7 +246,7 @@ def cmd_sweep(args) -> int:
             f"{_num(p)},{_num(rep.distance)},{_num(rep.angle)},"
             f"{_num(rep.kernel_norm)},{rep.method},{_num(rep.error_estimate)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -266,7 +270,7 @@ def cmd_impulse(args) -> int:
         if delay is not None:
             sig = truncate_to_delay_analog(sig, delay)
         values = map(complex, sig.values)  # Python complex formats faster than numpy's
-        text = _csv("index_or_time,re,im", map(_num, sig.times()), values)
+        table = _csv("index_or_time,re,im", map(_num, sig.times()), values)
     else:
         if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:
             raise _Fail(f"digital impulse needs --window in [1, {_MAX_ROWS // 2})")
@@ -276,8 +280,8 @@ def cmd_impulse(args) -> int:
         N = K if delay is None else min(delay.N, K)
         kept = digital._coefficients(band, range(N, -K - 1, -1))
         taps = itertools.chain([0j] * (K - N), kept)
-        text = _csv("index_or_time,re,im", range(-K, K + 1), taps)
-    _emit(text, args.out)
+        table = _csv("index_or_time,re,im", range(-K, K + 1), taps)
+    _emit(table, args.out)
     return 0
 
 

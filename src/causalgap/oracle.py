@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .analog import _block_energies, _require_analog, delayed_distance_si, delayed_report
+from .analog import (_BLOCK, _fill_range, _require_analog, _sum_in_parts, delayed_distance_si,
+                     delayed_report)
 from .digital import _band_of_width, _require_digital, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
@@ -27,8 +28,6 @@ __all__ = [
     "digital_distance_oracle",
     "limit_probe",
 ]
-
-_CHUNK = 1 << 20
 
 
 class OracleDistance(Frozen):
@@ -77,7 +76,7 @@ def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) ->
         np.multiply(t, dt, out=t)
         return np.add(start, t, out=t)
 
-    return dt * math.fsum(_block_energies(band, m, times))
+    return dt * _sum_in_parts(m, lambda lo, hi: _fill_range(band, times, lo, hi))
 
 
 def digital_distance_oracle(
@@ -87,21 +86,38 @@ def digital_distance_oracle(
 
     sqrt(sum_{k=N+1}^{K} |c_k|^2) with
     c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k) evaluated literally; the
-    indices beyond K contribute at most 2/(K pi) / (2 pi) in energy.
+    indices beyond K contribute at most 2/(K pi) / (2 pi) in energy.  Blocks
+    of indices from N + 1 are shared out across the CPUs as the analog
+    kernel's are, and their sums added exactly, whatever the CPU count.
     """
-    import numpy as np
-
     _require_digital(band)
     N = delay.N
     if max_index <= N:
         raise DomainError("max_index must exceed the look-ahead")
-    parts = []
-    for start in range(N + 1, max_index + 1, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, max_index + 1), dtype=np.float64)
-        ck = (np.exp(-1j * k * band.a) - np.exp(-1j * k * band.b)) / (TWO_PI * 1j * k)
-        parts.append(float(np.sum(ck.real**2 + ck.imag**2)))
     tail = 2.0 / (max_index * math.pi) / TWO_PI
-    return OracleDistance(math.sqrt(math.fsum(parts)), tail)
+    energy = _sum_in_parts(max_index - N, lambda lo, hi: _coefficient_energies(band, N, lo, hi))
+    return OracleDistance(math.sqrt(energy), tail)
+
+
+def _coefficient_energies(band: BandpassInterval, N: int, lo: int, hi: int) -> list[float]:
+    """Sum of |c_k|^2 over each block of k = N + 1 + j for j in [lo, hi), into
+    buffers made once per call."""
+    import numpy as np
+
+    size = min(_BLOCK, hi - lo)
+    k, mag = np.empty(size), np.empty(size)
+    ea, eb = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    sums = []
+    for start in range(lo, hi, _BLOCK):
+        m = min(start + _BLOCK, hi) - start
+        kb, wb, da, db = k[:m], mag[:m], ea[:m], eb[:m]
+        np.add(np.arange(m, dtype=np.float64), N + 1 + start, out=kb)
+        np.exp(np.multiply(-1j * band.a, kb, out=da), out=da)
+        np.exp(np.multiply(-1j * band.b, kb, out=db), out=db)
+        np.abs(np.subtract(da, db, out=da), out=wb)
+        np.divide(wb, np.multiply(TWO_PI, kb, out=kb), out=wb)  # |c_k|
+        sums.append(float(np.sum(np.square(wb, out=wb))))
+    return sums
 
 
 class LimitProbeResult(Frozen):

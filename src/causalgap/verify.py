@@ -274,14 +274,12 @@ def _random_kernel(rng: np.random.Generator) -> DigitalSequence:
 
 def _chk_matched_filter(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 301])
-    worst_gap = 0.0
-    worst_excess = 0.0
-    for i in range(50):
+    worst = 0.0
+    for _ in range(50):
         h = _random_kernel(rng)
-        est = operators.operator_norm_estimate(h, trials=4, seed=seed + i)
-        worst_gap = max(worst_gap, abs(est.lower - h.norm()))
-        worst_excess = max(worst_excess, max(est.ratios) - (est.upper + 1e-12))
-    worst = max(worst_gap, worst_excess)
+        est = operators.operator_norm_estimate(h)
+        # the certificate against ||h||, and the matched peak against the bound
+        worst = max(worst, abs(est.lower - h.norm()), est.lower - (est.upper + 1e-12))
     return _result("operators", "matched-filter-norm-identity", worst, 1e-12)
 
 

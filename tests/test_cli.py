@@ -285,7 +285,8 @@ class TestCsvOutputs:
             else:
                 assert (float(re_s), float(im_s)) != (0.0, 0.0)
 
-    @pytest.mark.parametrize("K, N", [(1, None), (4, 0), (64, 4), (64, 100)])
+    # (5000, 7): 10,001 rows, written in three blocks
+    @pytest.mark.parametrize("K, N", [(1, None), (4, 0), (64, 4), (64, 100), (5000, 7)])
     def test_impulse_digital_is_the_truncated_best_filter(self, capsys, K, N):
         # the CLI prints h[n] = c_{-n}, zeroed below -N, without numpy; the
         # library's filter and truncation give the same text byte for byte
@@ -597,12 +598,22 @@ class TestExitCodes:
         assert code == 4
         assert "cannot write" in err
 
+    def test_streamed_table_to_unwritable_path_exit_4(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "out.csv"
+        code, out, err = run_main(
+            capsys, "impulse", "--mode", "digital", "--a", "2", "--b", "4",
+            "--window", "5000", "--out", str(target),
+        )
+        assert (code, out) == (4, "")
+        assert "cannot write" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["digital", "--a", "1", "--b", "2.5", "--delay-samples", "1000"],
             ["sweep", "--mode", "analog", "--vary", "delay",
              "--range", "0", "50", "--steps", "1000", "--a", "0", "--b", "2"],
+            ["digital", "--a", "1", "--b", "2.5", "--coeffs", "5000"],
         ],
     )
     def test_closed_stdout_exit_4(self, argv):

@@ -100,3 +100,33 @@ def test_every_private_top_level_name_is_read(name):
     }
     orphans = {n: line for n, line in private.items() if n not in _read_anywhere()}
     assert not orphans, f"{name} defines private names nothing in src/ reads: {orphans}"
+
+
+#: numpy reductions that call BLAS, whose rounding depends on its thread count
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "linalg.norm"}
+
+
+def _dotted(node) -> str:
+    """'np.linalg.norm' for that attribute chain, '' for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id, *reversed(parts)])
+
+
+# verify.py keeps its 64-point Gauss-Legendre np.dot: far below BLAS's
+# threading size, and its detail string is pinned byte for byte
+@pytest.mark.parametrize("name", [n for n in FILES if n != "verify.py"])
+def test_no_blas_reductions(name):
+    found = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute):
+            dotted = _dotted(node)
+            if dotted.partition(".")[2] in _BLAS_CALLS and dotted.startswith(("np.", "numpy.")):
+                found.append(dotted)
+    assert not found, f"{name} sums through BLAS: {found}"

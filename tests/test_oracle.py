@@ -1,6 +1,10 @@
 """Brute-force distance oracles and the ladder extrapolation probes."""
 
+import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +22,7 @@ from causalgap import (
     digital_distance_oracle,
     limit_probe,
 )
+from causalgap import analog
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,6 +91,49 @@ class TestDigitalDistanceOracle:
     def test_rejects_window_inside_lookahead(self):
         with pytest.raises(DomainError):
             digital_distance_oracle(_half_circle(), DigitalDelay(10), max_index=10)
+
+    # three whole blocks of 2**14 indices and five more
+    K = 3 * 2**14 + 5
+
+    @pytest.mark.parametrize("N", [0, 5])
+    def test_matches_a_sum_of_the_literal_coefficients(self, N):
+        band = BandpassInterval.digital(1.0, 4.0)
+        want = math.sqrt(math.fsum(
+            abs((cmath.exp(-1j * k * band.a) - cmath.exp(-1j * k * band.b)) / (TWO_PI * 1j * k))
+            ** 2
+            for k in range(N + 1, self.K + 1)
+        ))
+        got = digital_distance_oracle(band, DigitalDelay(N), max_index=self.K).value
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_cpu_count_changes_no_bit(self, monkeypatch):
+        band = BandpassInterval.digital(1.0, 4.0)
+        values = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(analog, "_usable_cpus", lambda: cpus)
+            values.append(digital_distance_oracle(band, DigitalDelay(5), max_index=self.K).value)
+        assert values[0] == values[1] == values[2]
+
+
+def test_oracle_sums_do_not_depend_on_blas_threads():
+    # a BLAS dot product rounds differently with each thread count; the
+    # oracles and the signal energies sum without one
+    script = (
+        "from causalgap import AnalogImpulseResponse, BandpassInterval, DigitalDelay, oracle\n"
+        "band = BandpassInterval.analog(0.0, 2.0)\n"
+        "print(oracle._midpoint_energy(band, -5e3, 1e-2, 10**6).hex())\n"
+        "print(AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2 * 10**6).energy().hex())\n"
+        "dband = BandpassInterval.digital(1.0, 4.0)\n"
+        "print(oracle.digital_distance_oracle(dband, DigitalDelay(5), 10**5).value.hex())\n"
+    )
+    outputs = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 class TestLadderValidation:

@@ -67,8 +67,8 @@ VALUE_CASES = [
     ),
     (
         NormEstimate,
-        {"lower": 1.0, "upper": 1.0, "ratios": (1.0, 0.25)},
-        "NormEstimate(lower=1.0, upper=1.0, ratios=(1.0, 0.25))",
+        {"lower": 1.0, "upper": 1.0},
+        "NormEstimate(lower=1.0, upper=1.0)",
     ),
     (
         OracleDistance,
@@ -298,7 +298,7 @@ class TestValidation:
              "coefficient table must be a nonempty vector"),
             (lambda: FourierCoefficientTable(DIGITAL_BAND, 0, [[1.0]]),
              "coefficient table must be a nonempty vector"),
-            (lambda: NormEstimate(2.0, 1.0, (1.0,)), "lower bound exceeds upper bound"),
+            (lambda: NormEstimate(2.0, 1.0), "lower bound exceeds upper bound"),
         ],
     )
     def test_invalid_fields_are_rejected(self, make, message):
