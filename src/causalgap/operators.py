@@ -70,27 +70,35 @@ def operator_norm_estimate(h: DigitalSequence) -> NormEstimate:
     return NormEstimate(lower=float(np.max(np.abs(out.values))), upper=h.norm())
 
 
+def _kept(values, cut: int):
+    """A copy of values with values[:cut] set to +0.0.  Only values[cut:] is
+    written: a large np.zeros takes pages the OS has zeroed, and the prefix
+    stays on the shared zero page, out of resident memory, until written."""
+    import numpy as np
+
+    vals = np.zeros(len(values), dtype=np.complex128)
+    vals[cut:] = values[cut:]
+    return vals
+
+
 def truncate_to_delay(h: DigitalSequence, delay: DigitalDelay) -> DigitalSequence:
-    """Zero out every tap at index < -N, the projection onto N-tap look-ahead."""
-    vals = h.values.copy()
-    idx = h.indices()
-    vals[idx < -delay.N] = 0.0
-    return DigitalSequence._own(h.offset, vals)
+    """Zero out every tap at index < -N, the projection onto N-tap look-ahead.
+
+    Those taps are the first -N - offset, clamped to [0, len(h)]; only the
+    taps kept are written.
+    """
+    cut = min(len(h), max(0, -delay.N - h.offset))
+    return DigitalSequence._own(h.offset, _kept(h.values, cut))
 
 
 def truncate_to_delay_analog(h: SampledSignal, delay: AnalogDelay) -> SampledSignal:
     """Zero out every sample at time < -T; the boundary sample at -T survives.
 
     The times t0 + dt * j rise with j, so the samples to zero are a prefix;
-    its length is found by bisecting that same expression.  Each sample of
-    the result is written once.
+    its length is found by bisecting that same expression.  Only the samples
+    kept are written.
     """
-    import numpy as np
-
     cut = bisect.bisect_left(
         range(len(h)), True, key=lambda j: not h.t0 + h.dt * j < -delay.T
     )
-    vals = np.empty_like(h.values)
-    vals[:cut] = 0.0
-    vals[cut:] = h.values[cut:]
-    return SampledSignal._own(h.t0, h.dt, vals)
+    return SampledSignal._own(h.t0, h.dt, _kept(h.values, cut))

@@ -18,6 +18,7 @@ import mpref
 
 from causalgap import (
     AnalogDelay,
+    AnalogImpulseResponse,
     BandpassInterval,
     DigitalDelay,
     FourierCoefficientTable,
@@ -271,6 +272,18 @@ class TestCsvOutputs:
             assert mag2 == pytest.approx(
                 float(mpref.kernel(2.0, float(t_s))), rel=1e-12, abs=1e-15
             )
+
+    @pytest.mark.parametrize("delay", [None, "1"])
+    def test_impulse_analog_times_parse_back_to_the_grid(self, capsys, delay):
+        argv = ["impulse", "--mode", "analog", "--a", "0", "--b", "2",
+                "--t-max", "3.7", "--dt", "0.1"]
+        if delay is not None:
+            argv += ["--delay", delay]
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        sig = AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-3.7, 0.1, 75)
+        assert np.array_equal(np.array(times).view(np.int64), sig.times().view(np.int64))
 
     def test_impulse_digital_truncation_zeroes_lookahead_violations(self, capsys):
         code, out, _ = run_main(

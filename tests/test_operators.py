@@ -1,6 +1,9 @@
 """Convolution operators: norm estimates, matched inputs, delay truncation."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,6 +125,16 @@ class TestOperatorNormEstimate:
             operator_norm_estimate(_seq(0, [0.0]))
 
 
+#: finite values whose bits a copy must keep: signed zeros and subnormals
+_SIGNED_AND_SUBNORMAL = np.array(
+    [complex(a, b) for a, b in [
+        (-0.0, -0.0), (5e-324, -0.0), (-0.0, 1e-310), (-5e-324, -1e-310),
+        (1.0, -0.0), (-0.0, 2.0), (-1e-310, 5e-324), (-0.0, -0.0), (3.0, -5e-324),
+    ]],
+    dtype=np.complex128,
+)
+
+
 class TestTruncateToDelay:
     def test_zeroes_strictly_left_of_lookahead(self):
         h = _seq(-3, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # indices -3 .. 2
@@ -146,6 +159,17 @@ class TestTruncateToDelay:
             assert residual <= prev + 1e-15
             prev = residual
         assert prev == pytest.approx(0.0, abs=1e-15)
+
+    # indices offset .. offset + 8 against -N = -2: the cut before the
+    # support, on its first tap, inside it, on its last tap, and past it
+    @pytest.mark.parametrize("offset", [0, -2, -5, -10, -11, -20])
+    def test_cut_matches_the_mask_form_bit_for_bit(self, offset):
+        h = DigitalSequence(offset, _SIGNED_AND_SUBNORMAL)
+        out = truncate_to_delay(h, DigitalDelay(2))
+        want = h.values.copy()
+        want[h.indices() < -2] = 0.0
+        assert out.offset == offset
+        assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
 
 
 class TestTruncateToDelayAnalog:
@@ -174,7 +198,16 @@ class TestTruncateToDelayAnalog:
         out = truncate_to_delay_analog(sig, AnalogDelay(T))
         want = sig.values.copy()
         want[sig.times() < -T] = 0.0
-        assert np.array_equal(out.values, want)
+        assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
+
+    def test_kept_run_survives_bit_for_bit(self):
+        # -0.0 and subnormal parts on both sides of the cut: the kept run is
+        # copied bit for bit, and the dropped prefix reads +0.0 in every bit
+        sig = SampledSignal(-2.0, 0.5, _SIGNED_AND_SUBNORMAL)  # grid -2.0 .. 2.0
+        out = truncate_to_delay_analog(sig, AnalogDelay(0.7))  # cuts -2.0 .. -1.0
+        bits = out.values.view(np.int64).reshape(-1, 2)
+        assert not bits[:3].any()
+        assert np.array_equal(bits[3:], sig.values.view(np.int64).reshape(-1, 2)[3:])
 
     def test_sampled_residual_matches_delay_distance(self):
         band = BandpassInterval.analog(0.0, 2.0)
@@ -229,6 +262,38 @@ class TestOwnership:
         # one complex array of n points, plus under 2 MiB of block buffers
         assert sampled <= 16 * n + 2**21
         assert truncated - held <= 16 * n + 2**21
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+    )
+    def test_truncation_makes_only_the_kept_run_resident(self):
+        # tracemalloc counts the whole result; the resident size shows that
+        # the dropped prefix is never written, and not paged in by a read
+        code = """if True:
+            import os
+            import numpy as np
+            from causalgap import (AnalogDelay, AnalogImpulseResponse,
+                                   BandpassInterval, truncate_to_delay_analog)
+
+            def resident():
+                with open("/proc/self/statm") as f:
+                    return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            band = BandpassInterval.analog(0.0, 2.0)
+            h = AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2_000_001)
+            before = resident()
+            kept = truncate_to_delay_analog(h, AnalogDelay(0.5))
+            kept.energy()
+            grown = resident() - before
+            cut = int(np.count_nonzero(h.times() < -0.5))
+            print(grown, len(h) - cut)
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        grown, kept = map(int, proc.stdout.split())
+        assert kept == 1_000_501
+        assert grown <= 16 * kept + 2**22
 
     def test_digital_truncation_copies_once_and_shift_shares(self):
         h = _seq(-3, [1.0, 2.0, 3.0, 4.0])
