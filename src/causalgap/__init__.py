@@ -16,9 +16,7 @@ line's digital coefficient tables and impulse responses never load it.
 
 from .errors import (
     DomainError,
-    NegativeRadicand,
     NonMonotoneLadder,
-    NonRealInput,
     ZeroKernel,
 )
 from .kernel import BandpassInterval
@@ -26,14 +24,10 @@ from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 from .analog import (
     AnalogImpulseResponse,
     ApproximationReport,
-    PaleyWienerDiagnostic,
-    TransferFunctionSamples,
     causal_report,
     delayed_distance_si,
     delayed_report,
     impulse_response,
-    paley_wiener_diagnostic,
-    real_transfer_report,
 )
 from .digital import (
     FourierCoefficientTable,
@@ -69,14 +63,10 @@ __all__ = [
     "DomainError",
     "FourierCoefficientTable",
     "LimitProbeResult",
-    "NegativeRadicand",
     "NonMonotoneLadder",
-    "NonRealInput",
     "NormEstimate",
     "OracleDistance",
-    "PaleyWienerDiagnostic",
     "SampledSignal",
-    "TransferFunctionSamples",
     "ZeroKernel",
     "analog_distance_oracle",
     "best_causal_coefficients",
@@ -91,8 +81,6 @@ __all__ = [
     "limit_probe",
     "matched_input",
     "operator_norm_estimate",
-    "paley_wiener_diagnostic",
-    "real_transfer_report",
     "truncate_to_delay",
     "truncate_to_delay_analog",
     "__version__",

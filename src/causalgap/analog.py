@@ -9,8 +9,7 @@ anticausal part of h (everything at t < -T) is the best approximation from
 the filters realizable with look-ahead T, so distances are truncation-tail
 energies and reduce to integrals of the kernel.  For T = 0 the tail holds
 exactly half the energy, which pins the angle at pi/4 independent of the
-band; the same mechanism gives pi/4 for any filter with a real transfer
-function.
+band.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import os
 from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
-from .errors import NonRealInput
 from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral
 from .signals import AnalogDelay, SampledSignal
 
@@ -29,25 +27,13 @@ if TYPE_CHECKING:
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
-#: geometric floor ladder for the log-integrability diagnostic
-PW_FLOOR_LADDER = tuple(10.0 ** (-(3 + j)) for j in range(10))
-#: final ladder slope (integral growth per decade of floor) above which the
-#: log integral is treated as divergent
-PW_SLOPE_THRESHOLD = 0.5
-#: reporting threshold for near-vanishing transfer-function intervals
-PW_VANISH_TOL = 1e-14
-
 __all__ = [
     "ApproximationReport",
-    "TransferFunctionSamples",
     "AnalogImpulseResponse",
-    "PaleyWienerDiagnostic",
     "impulse_response",
     "causal_report",
     "delayed_report",
     "delayed_distance_si",
-    "real_transfer_report",
-    "paley_wiener_diagnostic",
 ]
 
 
@@ -91,40 +77,6 @@ class ApproximationReport(Frozen):
     @property
     def angle_degrees(self) -> float:
         return math.degrees(self.angle)
-
-
-class TransferFunctionSamples(Frozen):
-    """Values of a transfer function on a uniform frequency grid."""
-
-    __slots__ = ("xi_min", "xi_max", "values")
-    _hidden = ("values",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, xi_min: float, xi_max: float, values: np.ndarray) -> None:
-        if not (math.isfinite(xi_min) and math.isfinite(xi_max)):
-            raise ValueError("grid endpoints must be finite")
-        if not xi_min < xi_max:
-            raise ValueError("grid must satisfy xi_min < xi_max")
-        import numpy as np
-
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("need at least two samples")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "xi_min", xi_min)
-        object.__setattr__(self, "xi_max", xi_max)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def grid(self) -> np.ndarray:
-        import numpy as np
-
-        return np.linspace(self.xi_min, self.xi_max, len(self.values))
 
 
 def impulse_response(band: BandpassInterval, t):
@@ -357,110 +309,3 @@ def delayed_distance_si(band: BandpassInterval, delay: AnalogDelay) -> float:
         # tail(1, cT) / pi <= 1/2, so the product stays finite
         return math.sqrt(c * (oscillatory_tail_integral(1.0, c * T) / math.pi))
     return math.sqrt(tail / math.pi)
-
-
-def real_transfer_report(samples: TransferFunctionSamples) -> ApproximationReport:
-    """Causal distance and angle for a filter given by a real transfer function.
-
-    The norm comes from the trapezoid rule on the grid.  Real symmetry forces
-    the same even split of energy as the ideal band, so distance is
-    norm / sqrt(2) and the angle is pi/4 (0 for the zero function by
-    convention).  Rejects inputs whose imaginary part exceeds
-    1e-14 * max|H|.
-    """
-    import numpy as np
-
-    vals = samples.values
-    sup = float(np.max(np.abs(vals)))
-    if sup > 0.0 and float(np.max(np.abs(vals.imag))) > 1e-14 * sup:
-        raise NonRealInput("transfer function has a non-negligible imaginary part")
-    re = vals.real
-    grid = samples.grid()
-    norm = math.sqrt(float(np.trapezoid(re * re, grid)))
-    if norm == 0.0:
-        return ApproximationReport(0.0, 0.0, 0.0, "Causal", "ClosedForm")
-    return ApproximationReport(
-        kernel_norm=norm,
-        distance=norm / math.sqrt(2.0),
-        angle=0.25 * math.pi,
-        subspace="Causal",
-        method="ClosedForm",
-    )
-
-
-class PaleyWienerDiagnostic(Frozen):
-    """Result of the log-integrability probe.
-
-    ladder holds (floor, integral) pairs for the clamped integrals
-    integral |log max(|H|, floor)| / (1 + xi^2); integral_estimate is the
-    last rung.  verdict is "DivergenceEvidence" when the ladder keeps
-    growing (final slope above PW_SLOPE_THRESHOLD per decade) or when H is
-    identically zero on a grid subinterval, else
-    "ConsistentWithRealizable".  vanishing_intervals lists the maximal
-    grid intervals with |H| < 1e-14; they are informational and do not by
-    themselves decide the verdict.
-    """
-
-    __slots__ = ("integral_estimate", "vanishing_intervals", "verdict", "ladder",
-                 "final_slope_per_decade")
-
-    def __init__(self, integral_estimate: float,
-                 vanishing_intervals: tuple[tuple[float, float], ...], verdict: str,
-                 ladder: tuple[tuple[float, float], ...],
-                 final_slope_per_decade: float) -> None:
-        object.__setattr__(self, "integral_estimate", integral_estimate)
-        object.__setattr__(self, "vanishing_intervals", vanishing_intervals)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "final_slope_per_decade", final_slope_per_decade)
-
-
-def _value_runs(mask: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:
-    """Maximal runs of True covering at least two consecutive grid points."""
-    runs: list[tuple[float, float]] = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= 2:
-                runs.append((float(grid[start]), float(grid[i - 1])))
-            start = None
-    if start is not None and len(mask) - start >= 2:
-        runs.append((float(grid[start]), float(grid[-1])))
-    return runs
-
-
-def paley_wiener_diagnostic(samples: TransferFunctionSamples) -> PaleyWienerDiagnostic:
-    """Probe whether |H| decays too hard to belong to any causal filter.
-
-    A causal filter's transfer function must keep
-    integral |log|H|| / (1 + xi^2) finite.  The integral is evaluated with
-    |H| clamped below at a ladder of floors from 1e-3 down to 1e-12; a
-    genuinely vanishing H makes the clamped integral grow linearly in
-    -log(floor) while an integrable log levels off.
-    """
-    import numpy as np
-
-    grid = samples.grid()
-    mag = np.abs(samples.values)
-    weight = 1.0 + grid * grid
-    ladder = []
-    for floor in PW_FLOOR_LADDER:
-        integrand = np.abs(np.log(np.maximum(mag, floor))) / weight
-        ladder.append((floor, float(np.trapezoid(integrand, grid))))
-    final_slope = ladder[-1][1] - ladder[-2][1]  # rungs are one decade apart
-
-    vanishing = tuple(_value_runs(mag < PW_VANISH_TOL, grid))
-    hard_zero = len(_value_runs(mag == 0.0, grid)) > 0
-    if final_slope > PW_SLOPE_THRESHOLD or hard_zero:
-        verdict = "DivergenceEvidence"
-    else:
-        verdict = "ConsistentWithRealizable"
-    return PaleyWienerDiagnostic(
-        integral_estimate=ladder[-1][1],
-        vanishing_intervals=vanishing,
-        verdict=verdict,
-        ladder=tuple(ladder),
-        final_slope_per_decade=final_slope,
-    )

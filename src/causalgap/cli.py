@@ -41,7 +41,7 @@ import sys
 from . import analog, digital
 from .errors import DomainError
 from .kernel import BandpassInterval
-from .operators import truncate_to_delay_analog
+from .operators import _analog_cut
 from .signals import AnalogDelay, DigitalDelay
 
 __all__ = ["main"]
@@ -267,9 +267,11 @@ def cmd_impulse(args) -> int:
             raise _Fail(f"2 * t-max / dt must stay below {_MAX_ROWS}")
         n = int(round(steps)) + 1
         sig = _valid(analog.AnalogImpulseResponse(band).sample, -args.t_max, args.dt, n)
-        if delay is not None:
-            sig = truncate_to_delay_analog(sig, delay)
-        values = map(complex, sig.values)  # Python complex formats faster than numpy's
+        # the samples before -T print as the zeros truncate_to_delay_analog
+        # writes there, without a truncated copy of the rest
+        cut = 0 if delay is None else _analog_cut(sig, delay)
+        kept = map(complex, sig.values[cut:])  # Python complex formats faster than numpy's
+        values = itertools.chain(itertools.repeat(0j, cut), kept)
         times = (sig.t0 + sig.dt * j for j in range(len(sig)))  # sig.times() bit for bit, unbuilt
         table = _csv("index_or_time,re,im", map(_num, times), values)
     else:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
 from .analog import ApproximationReport
-from .errors import DomainError, NegativeRadicand
+from .errors import DomainError
 from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
 from .signals import DigitalDelay, DigitalSequence
 
@@ -143,7 +143,11 @@ def _bracket(band: BandpassInterval, N: int) -> float:
 
     N = 0 is the causal closed form 1/2 - c/(4 pi), written rho/(4 pi) for
     c > pi so it keeps its relative precision as c approaches 2 pi; every
-    N >= 1 takes the tail from oscillatory_tail_sum.
+    N >= 1 takes the tail from oscillatory_tail_sum.  The result is always
+    positive: that sum's head terms are nonnegative, its Euler-Maclaurin
+    tail is a positive integral plus corrections of relative size about
+    1/a, and in its Lerch tail psi'(a) > 1/a exceeds 19 times the cosine
+    sum, by Abel's bound 1/(a^2 sin(rho/2)) with a rho >= 60.
     """
     c = band.bandwidth
     if N > 0:
@@ -159,18 +163,7 @@ def _report_from_bracket(
     subspace: str,
     delay_taps: int | None,
 ) -> ApproximationReport:
-    """Turn the tail fraction into a report, policing the radicand.
-
-    bracket is sin^2 of the angle.  Values in (-1e-12, 0) would be rounding
-    noise and clamp to zero; anything at or below -1e-12 is mathematically
-    impossible and raises NegativeRadicand.
-    """
-    if bracket < 0.0:
-        if bracket <= -1e-12:
-            raise NegativeRadicand(
-                f"squared angle ratio {bracket!r} is negative beyond rounding"
-            )
-        bracket = 0.0
+    """Turn the tail fraction, sin^2 of the angle, into a report."""
     c = band.bandwidth
     norm = math.sqrt(c / TWO_PI)
     ratio = math.sqrt(min(1.0, bracket))

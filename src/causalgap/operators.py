@@ -91,14 +91,21 @@ def truncate_to_delay(h: DigitalSequence, delay: DigitalDelay) -> DigitalSequenc
     return DigitalSequence._own(h.offset, _kept(h.values, cut))
 
 
+def _analog_cut(h: SampledSignal, delay: AnalogDelay) -> int:
+    """How many leading samples of h lie at time < -T.
+
+    The times t0 + dt * j rise with j, so those samples are a prefix; its
+    length is found by bisecting that same expression.
+    """
+    return bisect.bisect_left(
+        range(len(h)), True, key=lambda j: not h.t0 + h.dt * j < -delay.T
+    )
+
+
 def truncate_to_delay_analog(h: SampledSignal, delay: AnalogDelay) -> SampledSignal:
     """Zero out every sample at time < -T; the boundary sample at -T survives.
 
-    The times t0 + dt * j rise with j, so the samples to zero are a prefix;
-    its length is found by bisecting that same expression.  Only the samples
+    The samples to zero are the prefix _analog_cut finds; only the samples
     kept are written.
     """
-    cut = bisect.bisect_left(
-        range(len(h)), True, key=lambda j: not h.t0 + h.dt * j < -delay.T
-    )
-    return SampledSignal._own(h.t0, h.dt, _kept(h.values, cut))
+    return SampledSignal._own(h.t0, h.dt, _kept(h.values, _analog_cut(h, delay)))

@@ -139,34 +139,6 @@ def _chk_plancherel(seed: int) -> CheckResult:
     return _result("analog", "kernel-norm-plancherel", worst, 1e-2)
 
 
-def _chk_pw_verdicts(seed: int) -> CheckResult:
-    grid = np.linspace(-10.0, 10.0, 4001)
-    box = analog.TransferFunctionSamples(
-        -10.0, 10.0, ((grid >= -1.0) & (grid <= 2.0)).astype(complex)
-    )
-    gauss = analog.TransferFunctionSamples(-10.0, 10.0, np.exp(-(grid**2)) + 0j)
-    box_diag = analog.paley_wiener_diagnostic(box)
-    gauss_diag = analog.paley_wiener_diagnostic(gauss)
-    ok = (
-        box_diag.verdict == "DivergenceEvidence"
-        and len(box_diag.vanishing_intervals) > 0
-        and gauss_diag.verdict == "ConsistentWithRealizable"
-    )
-    detail = f"box {box_diag.verdict} gauss {gauss_diag.verdict}"
-    return CheckResult("analog", "log-integrability-verdicts", ok, detail)
-
-
-def _chk_real_transfer(seed: int) -> CheckResult:
-    grid = np.linspace(-5.0, 5.0, 10001)
-    samples = analog.TransferFunctionSamples(
-        -5.0, 5.0, ((grid >= 0.0) & (grid <= 2.0)).astype(complex)
-    )
-    rep = analog.real_transfer_report(samples)
-    causal = analog.causal_report(BandpassInterval.analog(0.0, 2.0))
-    worst = max(abs(rep.distance - causal.distance), abs(rep.angle - causal.angle))
-    return _result("analog", "real-transfer-matches-causal", worst, 5e-3)
-
-
 def _chk_bandwidth_to_zero(seed: int) -> CheckResult:
     band = BandpassInterval.analog(0.0, 1e-6)
     rep = analog.delayed_report(band, AnalogDelay(1.0))
@@ -349,8 +321,6 @@ SUITES: dict[str, tuple] = {
         _chk_angle_range,
         _chk_analog_oracle,
         _chk_plancherel,
-        _chk_pw_verdicts,
-        _chk_real_transfer,
         _chk_bandwidth_to_zero,
     ),
     "digital": (

@@ -1,4 +1,4 @@
-"""Analog side: ideal band kernels, causal/delayed distances, diagnostics."""
+"""Analog side: ideal band kernels and causal/delayed distances."""
 
 import math
 import sys
@@ -16,14 +16,10 @@ from causalgap import (
     AnalogImpulseResponse,
     ApproximationReport,
     BandpassInterval,
-    NonRealInput,
-    TransferFunctionSamples,
     causal_report,
     delayed_distance_si,
     delayed_report,
     impulse_response,
-    paley_wiener_diagnostic,
-    real_transfer_report,
 )
 from causalgap import analog as analog_module
 from causalgap.kernel import oscillatory_tail_integral
@@ -366,104 +362,6 @@ class TestTruncationEnergy:
         for T in (0.25, 1.5, 8.0):
             quad = float(mpref.window_mass(band.bandwidth, T))
             assert abs(quad - _closed_form_mass(band.bandwidth, T)) <= 1e-8
-
-
-class TestRealTransferReport:
-    def test_band_indicator_matches_causal_closed_form(self):
-        grid = np.linspace(-5.0, 5.0, 10001)
-        values = ((grid >= 0.0) & (grid <= 2.0)).astype(np.complex128)
-        rep = real_transfer_report(TransferFunctionSamples(-5.0, 5.0, values))
-        ideal = causal_report(BandpassInterval.analog(0.0, 2.0))
-        assert rep.angle == 0.25 * math.pi
-        assert rep.subspace == "Causal"
-        assert abs(rep.distance - ideal.distance) <= 2e-3
-        assert abs(rep.kernel_norm - ideal.kernel_norm) <= 2e-3
-
-    def test_triangle_transfer_function(self):
-        grid = np.linspace(-1.0, 1.0, 20001)
-        values = 1.0 - np.abs(grid)
-        rep = real_transfer_report(TransferFunctionSamples(-1.0, 1.0, values))
-        # integral of (1 - |xi|)^2 over [-1, 1] is 2/3
-        assert rep.kernel_norm == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-6)
-        assert rep.distance == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-6)
-        assert rep.angle == 0.25 * math.pi
-
-    def test_zero_transfer_function(self):
-        samples = TransferFunctionSamples(-1.0, 1.0, np.zeros(11))
-        rep = real_transfer_report(samples)
-        assert rep.kernel_norm == 0.0 and rep.distance == 0.0 and rep.angle == 0.0
-
-    def test_rejects_complex_input(self):
-        values = np.ones(11) + 1e-6j
-        with pytest.raises(NonRealInput):
-            real_transfer_report(TransferFunctionSamples(-1.0, 1.0, values))
-
-    def test_tolerates_rounding_level_imaginary_part(self):
-        values = np.ones(11) + 1e-16j
-        rep = real_transfer_report(TransferFunctionSamples(-1.0, 1.0, values))
-        assert rep.angle == 0.25 * math.pi
-
-    def test_samples_validation(self):
-        with pytest.raises(ValueError):
-            TransferFunctionSamples(1.0, -1.0, np.ones(5))
-        with pytest.raises(ValueError):
-            TransferFunctionSamples(-1.0, 1.0, np.ones(1))
-        with pytest.raises(ValueError):
-            TransferFunctionSamples(-1.0, 1.0, np.array([1.0, math.inf]))
-
-    def test_grid(self):
-        samples = TransferFunctionSamples(-1.0, 3.0, np.ones(5))
-        assert np.array_equal(samples.grid(), np.array([-1.0, 0.0, 1.0, 2.0, 3.0]))
-
-
-class TestPaleyWienerDiagnostic:
-    def test_band_indicator_shows_divergence(self):
-        grid = np.linspace(-10.0, 10.0, 4001)
-        values = ((grid >= -1.0) & (grid <= 2.0)).astype(np.complex128)
-        diag = paley_wiener_diagnostic(TransferFunctionSamples(-10.0, 10.0, values))
-        assert diag.verdict == "DivergenceEvidence"
-        assert len(diag.vanishing_intervals) > 0
-        assert diag.final_slope_per_decade > 0.5
-        assert len(diag.ladder) == 10
-        assert diag.integral_estimate == diag.ladder[-1][1]
-
-    def test_gaussian_decay_is_consistent(self):
-        # |H| dips below 1e-14 near the edges; that alone must not convict
-        grid = np.linspace(-10.0, 10.0, 4001)
-        values = np.exp(-grid * grid)
-        diag = paley_wiener_diagnostic(TransferFunctionSamples(-10.0, 10.0, values))
-        assert diag.verdict == "ConsistentWithRealizable"
-        assert len(diag.vanishing_intervals) > 0
-        assert diag.final_slope_per_decade <= 0.5
-
-    def test_constant_transfer_function(self):
-        samples = TransferFunctionSamples(-5.0, 5.0, np.ones(101))
-        diag = paley_wiener_diagnostic(samples)
-        assert diag.verdict == "ConsistentWithRealizable"
-        assert diag.integral_estimate == 0.0
-        assert diag.final_slope_per_decade == 0.0
-        assert diag.vanishing_intervals == ()
-
-    def test_exact_zero_interval_is_conclusive_on_its_own(self):
-        # two consecutive hard zeros force the verdict even at tiny slope
-        values = np.ones(1001)
-        values[400:402] = 0.0
-        diag = paley_wiener_diagnostic(TransferFunctionSamples(-10.0, 10.0, values))
-        assert diag.final_slope_per_decade <= 0.5
-        assert diag.verdict == "DivergenceEvidence"
-
-    def test_isolated_zero_is_not_an_interval(self):
-        values = np.ones(1001)
-        values[500] = 0.0
-        diag = paley_wiener_diagnostic(TransferFunctionSamples(-10.0, 10.0, values))
-        assert diag.verdict == "ConsistentWithRealizable"
-        assert diag.vanishing_intervals == ()
-
-    def test_ladder_floors(self):
-        samples = TransferFunctionSamples(-1.0, 1.0, np.ones(11))
-        diag = paley_wiener_diagnostic(samples)
-        floors = [floor for floor, _ in diag.ladder]
-        assert floors == [10.0 ** (-(3 + j)) for j in range(10)]
 
 
 class TestSampledEnergyConsistency:

@@ -27,6 +27,7 @@ from causalgap import (
     delayed_report,
     delayed_report_digital,
     truncate_to_delay,
+    truncate_to_delay_analog,
 )
 from causalgap.verify import CheckResult
 
@@ -284,6 +285,23 @@ class TestCsvOutputs:
         times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
         sig = AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-3.7, 0.1, 75)
         assert np.array_equal(np.array(times).view(np.int64), sig.times().view(np.int64))
+
+    # the grid is -2 + 0.25 j: -T = -1 is its fifth point, whose sample survives;
+    # -0.6 falls between points; -5 lies before the first, so nothing is cut
+    @pytest.mark.parametrize("T", ["0", "1", "0.6", "5"])
+    def test_impulse_analog_is_the_truncated_sample(self, capsys, T):
+        # the CLI prints zeros before -T and the samples from the cut on;
+        # the library's sample and truncation give the same text byte for byte
+        sig = AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-2.0, 0.25, 17)
+        kept = truncate_to_delay_analog(sig, AnalogDelay(float(T)))
+        rows = [f"{cli._num(t)},{cli._num(v.real)},{cli._num(v.imag)}"
+                for t, v in zip(sig.times(), kept.values)]
+        code, out, _ = run_main(capsys, "impulse", "--mode", "analog", "--a", "0", "--b", "2",
+                                "--t-max", "2", "--dt", "0.25", "--delay", T)
+        assert code == 0
+        assert out == "\n".join(["index_or_time,re,im", *rows]) + "\n"
+        if T == "1":
+            assert rows[4].startswith("-1,") and not rows[4].endswith(",0,0")
 
     def test_impulse_digital_truncation_zeroes_lookahead_violations(self, capsys):
         code, out, _ = run_main(

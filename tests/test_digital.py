@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 import mpmath
 import mpref
@@ -15,13 +15,12 @@ from causalgap import (
     DigitalDelay,
     DomainError,
     FourierCoefficientTable,
-    NegativeRadicand,
     best_causal_coefficients,
     causal_report_digital,
     delayed_report_digital,
 )
 from causalgap.kernel import oscillatory_tail_sum
-from causalgap.digital import _band_of_width, _bracket, _coefficients, _report_from_bracket
+from causalgap.digital import _band_of_width, _bracket, _coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -327,15 +326,17 @@ class TestFarLookahead:
         assert mpref.rel_err(rep.distance, ref) <= 1e-15
 
 
-class TestBracketClamping:
-    def test_rounding_level_negative_bracket_clamps_to_zero(self):
-        rep = _report_from_bracket(_half_circle(), -5e-13, "Delayed", 3)
-        assert rep.distance == 0.0
-        assert rep.angle == 0.0
-
-    def test_larger_negative_bracket_raises(self):
-        with pytest.raises(NegativeRadicand):
-            _report_from_bracket(_half_circle(), -2e-12, "Delayed", 3)
+class TestBracketIsPositive:
+    # sin^2 of the angle is a tail energy over the kernel energy, so the
+    # report takes its square root with no clamp
+    @given(st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True),
+           st.integers(0, 2**53 - 1))
+    def test_bracket_is_positive(self, c, N):
+        try:
+            band = _band_of_width(c)
+        except DomainError:  # rounding collapses the band's edges
+            assume(False)
+        assert _bracket(band, N) > 0.0
 
 
 class TestBestCausalCoefficients:

@@ -3,7 +3,7 @@
 Each class is immutable, prints its fields (array fields left out), takes
 its fields by keyword or by position, validates them at construction, and
 survives pickle and deepcopy.  The scalar classes compare and hash by
-field; the four classes that hold arrays compare by identity.
+field; the three classes that hold arrays compare by identity.
 """
 
 import copy
@@ -23,16 +23,14 @@ from causalgap import (
     LimitProbeResult,
     NormEstimate,
     OracleDistance,
-    PaleyWienerDiagnostic,
     SampledSignal,
-    TransferFunctionSamples,
 )
 from causalgap.verify import CheckResult
 
 BAND = BandpassInterval(0.0, 2.0)
 DIGITAL_BAND = BandpassInterval(2.0, 4.0, "digital")
 
-#: (class, fields in order, repr) for the ten classes that compare by field
+#: (class, fields in order, repr) for the nine classes that compare by field
 VALUE_CASES = [
     (
         BandpassInterval,
@@ -54,16 +52,6 @@ VALUE_CASES = [
         AnalogImpulseResponse,
         {"band": BAND},
         "AnalogImpulseResponse(band=BandpassInterval(a=0.0, b=2.0, mode='analog'))",
-    ),
-    (
-        PaleyWienerDiagnostic,
-        {
-            "integral_estimate": 1.0, "vanishing_intervals": ((0.5, 1.0),),
-            "verdict": "ConsistentWithRealizable", "ladder": ((0.001, 1.0),),
-            "final_slope_per_decade": 0.0,
-        },
-        "PaleyWienerDiagnostic(integral_estimate=1.0, vanishing_intervals=((0.5, 1.0),), "
-        "verdict='ConsistentWithRealizable', ladder=((0.001, 1.0),), final_slope_per_decade=0.0)",
     ),
     (
         NormEstimate,
@@ -91,7 +79,7 @@ VALUE_CASES = [
     ),
 ]
 
-#: (class, fields in order, repr) for the four classes that hold an array
+#: (class, fields in order, repr) for the three classes that hold an array
 ARRAY_CASES = [
     (
         SampledSignal,
@@ -102,11 +90,6 @@ ARRAY_CASES = [
         DigitalSequence,
         {"offset": -2, "values": np.array([1.0, 0.5])},
         "DigitalSequence(offset=-2)",
-    ),
-    (
-        TransferFunctionSamples,
-        {"xi_min": -1.0, "xi_max": 1.0, "values": np.array([1.0, 1.0j, 0.0])},
-        "TransferFunctionSamples(xi_min=-1.0, xi_max=1.0)",
     ),
     (
         FourierCoefficientTable,
@@ -165,7 +148,6 @@ class TestConstruction:
         for holder in (
             SampledSignal(0.0, 1.0, raw),
             DigitalSequence(0, raw),
-            TransferFunctionSamples(0.0, 1.0, raw),
             FourierCoefficientTable(DIGITAL_BAND, 0, raw),
         ):
             assert holder.values.dtype == np.complex128
@@ -285,14 +267,6 @@ class TestValidation:
              "angle must lie in [0, pi/2]"),
             (lambda: ApproximationReport(1.0, 0.5, 0.5, "Acausal", "ClosedForm"),
              "unknown subspace 'Acausal'"),
-            (lambda: TransferFunctionSamples(float("-inf"), 1.0, [1.0, 1.0]),
-             "grid endpoints must be finite"),
-            (lambda: TransferFunctionSamples(1.0, 1.0, [1.0, 1.0]),
-             "grid must satisfy xi_min < xi_max"),
-            (lambda: TransferFunctionSamples(0.0, 1.0, [1.0]), "need at least two samples"),
-            (lambda: TransferFunctionSamples(0.0, 1.0, [[1.0, 1.0]]), "need at least two samples"),
-            (lambda: TransferFunctionSamples(0.0, 1.0, [1.0, float("nan")]),
-             "samples must be finite"),
             (lambda: AnalogImpulseResponse(DIGITAL_BAND), "expected an analog band"),
             (lambda: FourierCoefficientTable(DIGITAL_BAND, 0, []),
              "coefficient table must be a nonempty vector"),
