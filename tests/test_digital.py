@@ -338,6 +338,14 @@ class TestBracketIsPositive:
             assume(False)
         assert _bracket(band, N) > 0.0
 
+    # the narrowest and widest bands that keep their edges, at the causal cut,
+    # one tap and the farthest look-ahead; the bracket only falls from its
+    # causal value 1/2 - c/(4 pi) as taps are added
+    @pytest.mark.parametrize("N", [0, 1, 2**53 - 1])
+    @pytest.mark.parametrize("c", [1e-12, math.pi, TWO_PI - 1e-6])
+    def test_bracket_is_positive_at_the_edges(self, c, N):
+        assert 0.0 < _bracket(_band_of_width(c), N) < 0.5
+
 
 class TestBestCausalCoefficients:
     def test_causal_taps_are_reflected_coefficients(self):

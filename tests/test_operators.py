@@ -26,6 +26,7 @@ from causalgap import (
     truncate_to_delay_analog,
 )
 from causalgap import analog
+from causalgap.operators import _analog_cut
 
 
 def _seq(offset, values):
@@ -172,6 +173,26 @@ class TestTruncateToDelay:
         assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
 
 
+_CUT_GRIDS = [
+    (-2.0, 0.5, 9, 1.0),  # -T exactly on a sample
+    (-2.0, 0.5, 9, 1.2),  # -T between two samples
+    (-1.0, 0.1, 21, 0.3),  # between, where t0 + dt * j rounds near -T
+    (-2.0, 0.5, 9, 5.0),  # -T below t0: nothing is cut
+    (-10.0, 1.0, 5, 1.0),  # -T past the last sample: everything is cut
+    (-2.0, 0.5, 9, 0.0),  # T = 0
+    (-1e3, 1e-3, 2_000_001, 0.5),  # the sampled-truncation-energy grid
+]
+
+
+class TestAnalogCut:
+    # the one cut rule that truncate_to_delay_analog and the CLI's analog
+    # impulse both use
+    @pytest.mark.parametrize("t0, dt, n, T", _CUT_GRIDS)
+    def test_counts_the_samples_left_of_minus_T(self, t0, dt, n, T):
+        sig = SampledSignal(t0, dt, np.zeros(n))
+        assert _analog_cut(sig, AnalogDelay(T)) == np.count_nonzero(sig.times() < -T)
+
+
 class TestTruncateToDelayAnalog:
     def test_boundary_sample_is_kept(self):
         sig = SampledSignal(-2.0, 0.5, np.ones(9))  # grid -2.0 .. 2.0
@@ -181,18 +202,7 @@ class TestTruncateToDelayAnalog:
         assert np.all(out.values[t < -1.0] == 0.0)
         assert np.all(out.values[t >= -1.0] == 1.0)
 
-    @pytest.mark.parametrize(
-        "t0, dt, n, T",
-        [
-            (-2.0, 0.5, 9, 1.0),  # -T exactly on a sample
-            (-2.0, 0.5, 9, 1.2),  # -T between two samples
-            (-1.0, 0.1, 21, 0.3),  # between, where t0 + dt * j rounds near -T
-            (-2.0, 0.5, 9, 5.0),  # -T below t0: nothing is cut
-            (-10.0, 1.0, 5, 1.0),  # -T past the last sample: everything is cut
-            (-2.0, 0.5, 9, 0.0),  # T = 0
-            (-1e3, 1e-3, 2_000_001, 0.5),  # the sampled-truncation-energy grid
-        ],
-    )
+    @pytest.mark.parametrize("t0, dt, n, T", _CUT_GRIDS)
     def test_bisected_cut_matches_the_mask_form(self, t0, dt, n, T):
         sig = SampledSignal(t0, dt, np.arange(1, n + 1, dtype=np.complex128))
         out = truncate_to_delay_analog(sig, AnalogDelay(T))
