@@ -86,10 +86,10 @@ def impulse_response(band: BandpassInterval, t):
     Every finite value is bit for bit that of the literal
     (c / sqrt(2 pi)) * np.sinc(c t / 2 pi) * np.exp(1j * center * t), whose
     ufuncs each block runs in turn.  An array is computed in blocks of
-    _BLOCK points into one preallocated output, and its blocks are shared
-    out across every CPU this process may run on; np.errstate and
-    warning filters act on every block as they do on the caller's own
-    thread.
+    _BLOCK points into one preallocated output, each block filled by
+    whichever of the threads, one per CPU this process may run on, is free
+    to claim it next; np.errstate and warning filters act on every block
+    as they do on the caller's own thread.
     """
     import numpy as np
 
@@ -114,38 +114,41 @@ def _fill(band: BandpassInterval, n: int, times) -> np.ndarray:
     import numpy as np
 
     out = np.empty(n, dtype=np.complex128)
-    _in_parts(n, lambda lo, hi: _fill_range(band, times, lo, hi, out))
+    _in_parts(n, lambda starts: _fill_range(band, times, starts, n, out))
     return out
 
 
 def _sum_in_parts(n: int, run) -> float:
-    """The exact sum of the block sums run(lo, hi) lists for the parts of range(n);
-    blocks start at multiples of _BLOCK, so the parts do not change it."""
+    """The exact sum of the block sums run(starts) lists for the blocks of
+    range(n), whichever thread claimed each."""
     return math.fsum(s for part in _in_parts(n, run) for s in part)
 
 
 def _in_parts(n: int, run) -> list:
-    """[run(lo, hi) for each part of range(n)], the parts cut at block edges.
+    """[run(starts) for each thread]; the threads claim the block starts
+    range(0, n, _BLOCK) one at a time, under a lock, as each comes free.
 
-    There is one part per usable CPU, at most one per block; the caller's
-    thread runs the first part, and each other part runs in a copy of the
-    caller's context.
+    There is one thread per usable CPU, at most one per block: the caller's
+    own, and workers that each run in a copy of the caller's context.
     """
-    blocks = -(-n // _BLOCK)
-    parts = min(_usable_cpus(), blocks)
-    if parts <= 1:
-        return [run(0, n)]
+    blocks = range(0, n, _BLOCK)
+    threads = min(_usable_cpus(), len(blocks))
+    if threads <= 1:
+        return [run(iter(blocks))]
     import contextvars
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    edges = [min(n, _BLOCK * (blocks * i // parts)) for i in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, run, lo, hi)
-            for lo, hi in zip(edges[1:-1], edges[2:])
-        ]
-        first = run(edges[0], edges[1])
-        return [first] + [future.result() for future in futures]
+    unclaimed, lock = iter(blocks), threading.Lock()
+
+    def claim() -> int | None:
+        with lock:
+            return next(unclaimed, None)
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, iter(claim, None))
+                   for _ in range(threads - 1)]
+        return [run(iter(claim, None))] + [future.result() for future in futures]
 
 
 def _usable_cpus() -> int:
@@ -155,9 +158,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_range(band: BandpassInterval, times, lo: int, hi: int,
+def _fill_range(band: BandpassInterval, times, starts, n: int,
                 out: np.ndarray | None = None) -> list[float]:
-    """out[lo:hi] = h(times(lo, hi)), one block at a time.
+    """out[lo:hi] = h(times(lo, hi)), hi = min(lo + _BLOCK, n), for each lo that starts yields.
 
     With no out, nothing is written and the list of each block's sum of
     |h|^2 comes back instead: that is the sum of amp^2 for the real
@@ -175,12 +178,12 @@ def _fill_range(band: BandpassInterval, times, lo: int, hi: int,
     c = band.bandwidth
     rot = 1j * band.center
     eps = np.finfo(np.float64).eps
-    size = min(_BLOCK, hi - lo)
+    size = min(_BLOCK, n)
     buf, y, amp = np.empty(size), np.empty(size), np.empty(size)
     zero = np.empty(size, dtype=bool)
     sums = []
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
+    for start in starts:
+        stop = min(start + _BLOCK, n)
         k = stop - start
         t = times(start, stop, buf)
         yk, ak, zk = y[:k], amp[:k], zero[:k]

@@ -282,7 +282,7 @@ def cmd_impulse(args) -> int:
         # look-ahead cannot reach; without --delay-samples nothing is zeroed
         N = K if delay is None else min(delay.N, K)
         kept = digital._coefficients(band, range(N, -K - 1, -1))
-        taps = itertools.chain([0j] * (K - N), kept)
+        taps = itertools.chain(itertools.repeat(0j, K - N), kept)
         table = _csv("index_or_time,re,im", range(-K, K + 1), taps)
     _emit(table, args.out)
     return 0

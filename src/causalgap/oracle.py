@@ -4,9 +4,9 @@ Nothing here shares an evaluation path with the results it validates: the
 analog oracle is a plain midpoint Riemann sum of |h|^2, summed as the
 squared real amplitude (c / sqrt(2 pi)) sinc(c t / 2 pi) of the kernel (no
 closed form, no sine integral), and the digital oracle sums |c_k|^2 from
-the defining complex-exponential difference (no half-angle magnitude form).
-Each oracle returns its value together with the analytic bound on what the
-finite grid or index cutoff can miss.
+the defining difference of exponentials, each an anchor's times a table's
+(no half-angle form).  Each oracle returns its value with the analytic
+bound on what the finite grid or index cutoff can miss.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) ->
         np.multiply(t, dt, out=t)
         return np.add(start, t, out=t)
 
-    return dt * _sum_in_parts(m, lambda lo, hi: _fill_range(band, times, lo, hi))
+    return dt * _sum_in_parts(m, lambda starts: _fill_range(band, times, starts, m))
 
 
 def digital_distance_oracle(
@@ -85,35 +85,53 @@ def digital_distance_oracle(
     """Partial-sum distance to the N-tap filters, from the defining c_k.
 
     sqrt(sum_{k=N+1}^{K} |c_k|^2) with
-    c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k) evaluated literally; the
-    indices beyond K contribute at most 2/(K pi) / (2 pi) in energy.  Blocks
-    of indices from N + 1 are shared out across the CPUs as the analog
-    kernel's are, and their sums added exactly, whatever the CPU count.
+    c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k), each exponential made
+    from an anchor and a table with no large phase rounded; the indices
+    beyond K contribute at most 2/(K pi) / (2 pi) in energy.  The threads
+    claim blocks of indices from N + 1 as they do the analog kernel's, and
+    the block sums are added exactly, whatever the CPU count.
     """
     _require_digital(band)
     N = delay.N
     if max_index <= N:
         raise DomainError("max_index must exceed the look-ahead")
     tail = 2.0 / (max_index * math.pi) / TWO_PI
-    energy = _sum_in_parts(max_index - N, lambda lo, hi: _coefficient_energies(band, N, lo, hi))
+    n = max_index - N
+    energy = _sum_in_parts(n, lambda starts: _coefficient_energies(band, N, starts, n))
     return OracleDistance(math.sqrt(energy), tail)
 
 
-def _coefficient_energies(band: BandpassInterval, N: int, lo: int, hi: int) -> list[float]:
-    """Sum of |c_k|^2 over each block of k = N + 1 + j for j in [lo, hi), into
-    buffers made once per call."""
+_STRIDE = 128  # indices per anchor of the digital oracle's exponentials
+
+
+def _coefficient_energies(band: BandpassInterval, N: int, starts, n: int) -> list[float]:
+    """Sum of |c_k|^2 over each block of k = N + 1 + j, j from a start that
+    starts yields to min(start + _BLOCK, n), into buffers made once per call.
+
+    exp(-i k x) for x = a, b is exp(-i k0 x) exp(-i q x), an anchor k0 every
+    _STRIDE indices from the block's first times a table for q < _STRIDE.
+    """
     import numpy as np
 
-    size = min(_BLOCK, hi - lo)
-    k, mag = np.empty(size), np.empty(size)
-    ea, eb = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    def exp_ikx(x: float, k: np.ndarray) -> np.ndarray:
+        # x = hi + lo with hi of 32 bits (Veltkamp): k hi is exact for every
+        # k < 2**21, so unlike exp(-1j * k * x) no large phase is rounded
+        hi = x * 2097153.0 - (x * 2097153.0 - x)
+        return np.exp(-1j * hi * k) * np.exp(-1j * (x - hi) * k)
+
+    rows = -(-min(_BLOCK, n) // _STRIDE)
+    grid = np.arange(rows * _STRIDE, dtype=np.float64).reshape(rows, _STRIDE)  # j, by anchor
+    tables = [exp_ikx(x, grid[0]) for x in (band.a, band.b)]
+    k, mag = np.empty((2, rows, _STRIDE))
+    ea, eb = np.empty((2, rows, _STRIDE), dtype=np.complex128)
     sums = []
-    for start in range(lo, hi, _BLOCK):
-        m = min(start + _BLOCK, hi) - start
-        kb, wb, da, db = k[:m], mag[:m], ea[:m], eb[:m]
-        np.add(np.arange(m, dtype=np.float64), N + 1 + start, out=kb)
-        np.exp(np.multiply(-1j * band.a, kb, out=da), out=da)
-        np.exp(np.multiply(-1j * band.b, kb, out=db), out=db)
+    for start in starts:
+        m = min(start + _BLOCK, n) - start
+        r = -(-m // _STRIDE)
+        np.add(grid[:r], N + 1 + start, out=k[:r])
+        for x, table, e in zip((band.a, band.b), tables, (ea, eb)):
+            np.multiply(exp_ikx(x, k[:r, :1]), table, out=e[:r])
+        kb, wb, da, db = (v[:r].reshape(-1)[:m] for v in (k, mag, ea, eb))
         np.abs(np.subtract(da, db, out=da), out=wb)
         np.divide(wb, np.multiply(TWO_PI, kb, out=kb), out=wb)  # |c_k|
         sums.append(float(np.sum(np.square(wb, out=wb))))

@@ -1,7 +1,9 @@
 """Analog side: ideal band kernels and causal/delayed distances."""
 
+import itertools
 import math
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -97,6 +99,7 @@ def _same_bits(got, want):
     return np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+_BLOCK = analog_module._BLOCK
 #: the sampled-truncation-energy grid of verify: 2,000,001 points, dt 1e-3
 _VERIFY_GRID = -1e3 + 1e-3 * np.arange(2_000_001)
 _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5])
@@ -163,10 +166,35 @@ class TestBlockwiseImpulseResponse:
         for band, got in zip(bands, results):
             assert _same_bits(got, _literal_response(band, t))
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK + 5])
+    def test_every_block_is_claimed_once(self, monkeypatch, threads, n):
+        # with frequent thread switches, a claim drawn twice or lost shows
+        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parts = analog_module._in_parts(n, list)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parts) == min(threads, -(-n // _BLOCK))
+        assert sorted(itertools.chain(*parts)) == list(range(0, n, _BLOCK))
+
+    @pytest.mark.parametrize("stalled", ["caller", "worker"])
+    def test_a_stalled_thread_leaves_the_other_blocks_to_the_free_one(self, monkeypatch,
+                                                                     stalled):
+        claimed = _stall_on_the_first_block(monkeypatch, stalled)
+        band = BandpassInterval.analog(1.0, 4.0)
+        t = _VERIFY_GRID[: 5 * _BLOCK + 3]
+        assert _same_bits(impulse_response(band, t), _literal_response(band, t))
+        other = "worker" if stalled == "caller" else "caller"
+        assert claimed == {stalled: [0], other: list(range(_BLOCK, t.size, _BLOCK))}
+
     @pytest.mark.parametrize("where", [0, -1], ids=["caller-part", "worker-part"])
     def test_callers_errstate_reaches_every_part(self, monkeypatch, where):
-        # sin(inf) is an invalid operation, in the first part or the last
-        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 3)
+        # sin(inf) is an invalid operation, in the first block, which the
+        # stalled caller claims, or in the last, which the worker fills
+        claimed = _stall_on_the_first_block(monkeypatch, "caller")
         band = BandpassInterval.analog(0.0, 2.0)
         t = _VERIFY_GRID[:200_000].copy()
         t[where] = math.inf
@@ -175,10 +203,46 @@ class TestBlockwiseImpulseResponse:
                 _literal_response(band, t)
             with pytest.raises(FloatingPointError):
                 impulse_response(band, t)
+        assert claimed["caller"] == [0]
+        assert claimed["worker"][-1] == t.size // _BLOCK * _BLOCK
+        claimed.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
                 impulse_response(band, t)
+        assert claimed["caller"] == [0] and len(claimed["worker"]) == t.size // _BLOCK
+
+
+def _stall_on_the_first_block(monkeypatch, stalled):
+    """Run the array layer on two threads, the stalled one ("caller" or
+    "worker") claiming the first block and filling it only once the other
+    has run out of blocks, in every call; returns {thread: the block starts
+    it claimed}."""
+    monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 2)
+    fill_range = analog_module._fill_range
+    caller = threading.get_ident()
+    first_claimed, other_done = threading.Event(), threading.Event()
+    claimed = {}
+
+    def fill(band, times, starts, n, out=None):
+        who = "caller" if threading.get_ident() == caller else "worker"
+        mine = claimed.setdefault(who, [])
+        starts = (mine.append(start) or start for start in starts)
+        if who == stalled:
+            first = next(starts)
+            first_claimed.set()
+            assert other_done.wait(60)
+            first_claimed.clear()  # the other thread is done: ready for the next call
+            other_done.clear()
+            return fill_range(band, times, itertools.chain([first], starts), n, out)
+        assert first_claimed.wait(60)
+        try:
+            return fill_range(band, times, starts, n, out)
+        finally:
+            other_done.set()
+
+    monkeypatch.setattr(analog_module, "_fill_range", fill)
+    return claimed
 
 
 class TestMidpointEnergy:

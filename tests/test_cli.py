@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,22 @@ class TestCsvOutputs:
         code, out, _ = run_main(capsys, *argv)
         assert code == 0
         assert out == "\n".join(["index_or_time,re,im", *rows]) + "\n"
+
+    def test_impulse_digital_zero_prefix_is_not_held(self):
+        # the K - N zeros before the kept taps stream like the taps: the
+        # peak with every tap zeroed but one stays that of no zeros at all
+        K = 200_000
+        peaks = []
+        for N in (0, K):
+            argv = ["impulse", "--mode", "digital", "--a", "2", "--b", "4",
+                    "--window", str(K), "--delay-samples", str(N), "--out", os.devnull]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 256 * 1024, peaks
 
     def test_sweep_digital_bandwidth_angle_decreases(self, capsys):
         code, out, _ = run_main(
@@ -1027,6 +1044,12 @@ class TestDeterminism:
         second = run_cli("verify", "--suite", "digital", "--seed", "7")
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_verify_output_matches_its_golden(self):
+        # an oracle that moved a printed digit would still be run-to-run stable
+        proc = run_cli("verify", "--suite", "all", "--seed", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "verify_all_seed0.txt").read_text()
 
     def test_help_lists_subcommands(self):
         proc = run_cli("--help")

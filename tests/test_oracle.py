@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
+import mpref
 
 from causalgap import (
     AnalogDelay,
@@ -95,16 +97,42 @@ class TestDigitalDistanceOracle:
     # three whole blocks of 2**14 indices and five more
     K = 3 * 2**14 + 5
 
-    @pytest.mark.parametrize("N", [0, 5])
-    def test_matches_a_sum_of_the_literal_coefficients(self, N):
-        band = BandpassInterval.digital(1.0, 4.0)
+    # the exponentials come from an anchor every 128 indices of a block
+    # times a table of the 128 steps from it
+    @pytest.mark.parametrize("a, b, N, K", [
+        pytest.param(1.0, 4.0, 0, K, id="0"),
+        pytest.param(1.0, 4.0, 5, K, id="5"),
+        pytest.param(1.0, 4.0, 10, 10 + 127, id="under-one-stride"),
+        pytest.param(1.0, 4.0, 0, 3 * 128 + 5, id="part-of-a-stride"),
+        # the first block ends at k = 16585, mid-way between multiples of 128
+        pytest.param(1.0, 4.0, 200, 200 + 2**14 + 77, id="block-edge-mid-stride"),
+        pytest.param(1.0, 4.0, 5, 10**6, id="K-1e6"),
+        pytest.param(1e-9, 1.0, 0, 10**5, id="band-at-0"),
+        pytest.param(1e-6, 2e-6, 3, 10**5, id="narrow-band-at-0"),
+        pytest.param(5.0, TWO_PI - 1e-9, 0, 10**5, id="band-at-2pi"),
+        pytest.param(0.5, 0.5 + math.pi, 5, 10**5, id="half-circle-width"),
+    ])
+    def test_matches_a_sum_of_the_literal_coefficients(self, a, b, N, K):
+        band = BandpassInterval.digital(a, b)
         want = math.sqrt(math.fsum(
             abs((cmath.exp(-1j * k * band.a) - cmath.exp(-1j * k * band.b)) / (TWO_PI * 1j * k))
             ** 2
-            for k in range(N + 1, self.K + 1)
+            for k in range(N + 1, K + 1)
         ))
-        got = digital_distance_oracle(band, DigitalDelay(N), max_index=self.K).value
+        got = digital_distance_oracle(band, DigitalDelay(N), max_index=K).value
         assert got == pytest.approx(want, rel=1e-14)
+
+    def test_no_large_phase_is_rounded(self):
+        # at a narrow band just below 2 pi the literal exp(-1j * k * x)
+        # rounds the phase k x ~ 6.28 k and misses the exact sum by 5.7e-13
+        band = BandpassInterval.digital(TWO_PI - 2e-6, TWO_PI - 1e-6)
+        N, K = 3, 10**5
+        with mpmath.workdps(mpref.DPS):
+            c = band.b - band.a  # exact
+            exact = mpmath.sqrt((mpref.digital_tail(c, N) - mpref.digital_tail(c, K))
+                                / (2 * mpmath.pi**2))
+        got = digital_distance_oracle(band, DigitalDelay(N), max_index=K).value
+        assert mpref.rel_err(got, exact) <= 1e-15
 
     def test_cpu_count_changes_no_bit(self, monkeypatch):
         band = BandpassInterval.digital(1.0, 4.0)
