@@ -15,7 +15,6 @@ band.
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
@@ -86,17 +85,16 @@ def impulse_response(band: BandpassInterval, t):
     Every finite value is bit for bit that of the literal
     (c / sqrt(2 pi)) * np.sinc(c t / 2 pi) * np.exp(1j * center * t), whose
     ufuncs each block runs in turn.  An array is computed in blocks of
-    _BLOCK points into one preallocated output, each block filled by
-    whichever of the threads, one per CPU this process may run on, is free
-    to claim it next; np.errstate and warning filters act on every block
-    as they do on the caller's own thread.
+    _BLOCK points, one after another on the caller's thread, into one
+    preallocated output.
     """
     import numpy as np
 
     _require_analog(band)
     t_arr = np.asarray(t, dtype=np.float64)
     flat = t_arr.reshape(-1)
-    out = _fill(band, flat.size, lambda lo, hi, buf: flat[lo:hi])
+    out = np.empty(flat.size, dtype=np.complex128)
+    _fill_range(band, lambda lo, hi, buf: flat[lo:hi], flat.size, out)
     if t_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(t_arr.shape)
@@ -106,61 +104,12 @@ def impulse_response(band: BandpassInterval, t):
 _BLOCK = 1 << 14
 
 
-def _fill(band: BandpassInterval, n: int, times) -> np.ndarray:
-    """h at n times into a new array; times(lo, hi, buf) gives t[lo:hi].
-
-    times may write its block into buf, a scratch row long enough for it.
-    """
-    import numpy as np
-
-    out = np.empty(n, dtype=np.complex128)
-    _in_parts(n, lambda starts: _fill_range(band, times, starts, n, out))
-    return out
-
-
-def _sum_in_parts(n: int, run) -> float:
-    """The exact sum of the block sums run(starts) lists for the blocks of
-    range(n), whichever thread claimed each."""
-    return math.fsum(s for part in _in_parts(n, run) for s in part)
-
-
-def _in_parts(n: int, run) -> list:
-    """[run(starts) for each thread]; the threads claim the block starts
-    range(0, n, _BLOCK) one at a time, under a lock, as each comes free.
-
-    There is one thread per usable CPU, at most one per block: the caller's
-    own, and workers that each run in a copy of the caller's context.
-    """
-    blocks = range(0, n, _BLOCK)
-    threads = min(_usable_cpus(), len(blocks))
-    if threads <= 1:
-        return [run(iter(blocks))]
-    import contextvars
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    unclaimed, lock = iter(blocks), threading.Lock()
-
-    def claim() -> int | None:
-        with lock:
-            return next(unclaimed, None)
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, iter(claim, None))
-                   for _ in range(threads - 1)]
-        return [run(iter(claim, None))] + [future.result() for future in futures]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _fill_range(band: BandpassInterval, times, starts, n: int,
+def _fill_range(band: BandpassInterval, times, n: int,
                 out: np.ndarray | None = None) -> list[float]:
-    """out[lo:hi] = h(times(lo, hi)), hi = min(lo + _BLOCK, n), for each lo that starts yields.
+    """out[lo:hi] = h(t[lo:hi]) for each block [lo, hi) of range(n), in order.
+
+    times(lo, hi, buf) gives t[lo:hi], and may write it into buf, a scratch
+    row long enough for any block.
 
     With no out, nothing is written and the list of each block's sum of
     |h|^2 comes back instead: that is the sum of amp^2 for the real
@@ -170,8 +119,8 @@ def _fill_range(band: BandpassInterval, times, starts, n: int,
 
     Each block runs the literal form's own ufuncs, np.sinc's three steps
     (y = pi x, eps where y is zero, sin(y) / y) among them, into buffers
-    made once per call: a fresh set of temporaries for every block leaves
-    the allocator holding about 30 MB more at the peak of a verify run.
+    made once per call, not once per block.  A block that raises, as under
+    np.errstate(all="raise"), leaves the blocks after it unfilled.
     """
     import numpy as np
 
@@ -182,7 +131,7 @@ def _fill_range(band: BandpassInterval, times, starts, n: int,
     buf, y, amp = np.empty(size), np.empty(size), np.empty(size)
     zero = np.empty(size, dtype=bool)
     sums = []
-    for start in starts:
+    for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         k = stop - start
         t = times(start, stop, buf)
@@ -238,7 +187,9 @@ class AnalogImpulseResponse(Frozen):
             t = np.multiply(np.arange(lo, hi, dtype=np.float64), dt, out=buf[: hi - lo])
             return np.add(t, t0, out=t)
 
-        return SampledSignal._own(t0, dt, _fill(self.band, n, times))
+        out = np.empty(n, dtype=np.complex128)
+        _fill_range(self.band, times, n, out)
+        return SampledSignal._own(t0, dt, out)
 
 
 def _require_analog(band: BandpassInterval) -> None:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .analog import (_BLOCK, _fill_range, _require_analog, _sum_in_parts, delayed_distance_si,
-                     delayed_report)
+from .analog import _BLOCK, _fill_range, _require_analog, delayed_distance_si, delayed_report
 from .digital import _band_of_width, _require_digital, delayed_report_digital
 from .errors import DomainError, NonMonotoneLadder
 from .kernel import TWO_PI, BandpassInterval
@@ -48,8 +47,8 @@ def analog_distance_oracle(
 ) -> OracleDistance:
     """Riemann-sum distance to the delay-T filters, from the kernel samples.
 
-    sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); everything the
-    grid cannot see beyond -R has energy at most 2 / (pi R).
+    sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); the energy the
+    grid misses beyond -R is 1/(pi R) within 2/(pi c R^2), under tail_bound 2/(pi R).
     """
     _require_analog(band)
     if not dt > 0.0:
@@ -76,7 +75,7 @@ def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) ->
         np.multiply(t, dt, out=t)
         return np.add(start, t, out=t)
 
-    return dt * _sum_in_parts(m, lambda starts: _fill_range(band, times, starts, m))
+    return dt * math.fsum(_fill_range(band, times, m))
 
 
 def digital_distance_oracle(
@@ -86,10 +85,9 @@ def digital_distance_oracle(
 
     sqrt(sum_{k=N+1}^{K} |c_k|^2) with
     c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k), each exponential made
-    from an anchor and a table with no large phase rounded; the indices
-    beyond K contribute at most 2/(K pi) / (2 pi) in energy.  The threads
-    claim blocks of indices from N + 1 as they do the analog kernel's, and
-    the block sums are added exactly, whatever the CPU count.
+    from an anchor and a table with no large phase rounded, in blocks whose
+    sums are added exactly.  The energy beyond K is under tail_bound
+    1/(pi^2 K): (1/K - 1/(2K^2)) / (2 pi^2) up to a term of order 1/K^2.
     """
     _require_digital(band)
     N = delay.N
@@ -97,16 +95,16 @@ def digital_distance_oracle(
         raise DomainError("max_index must exceed the look-ahead")
     tail = 2.0 / (max_index * math.pi) / TWO_PI
     n = max_index - N
-    energy = _sum_in_parts(n, lambda starts: _coefficient_energies(band, N, starts, n))
+    energy = math.fsum(_coefficient_energies(band, N, n))
     return OracleDistance(math.sqrt(energy), tail)
 
 
 _STRIDE = 128  # indices per anchor of the digital oracle's exponentials
 
 
-def _coefficient_energies(band: BandpassInterval, N: int, starts, n: int) -> list[float]:
-    """Sum of |c_k|^2 over each block of k = N + 1 + j, j from a start that
-    starts yields to min(start + _BLOCK, n), into buffers made once per call.
+def _coefficient_energies(band: BandpassInterval, N: int, n: int) -> list[float]:
+    """Sum of |c_k|^2 over each block of k = N + 1 + j, j in range(n), in
+    order, into buffers made once per call.
 
     exp(-i k x) for x = a, b is exp(-i k0 x) exp(-i q x), an anchor k0 every
     _STRIDE indices from the block's first times a table for q < _STRIDE.
@@ -125,7 +123,7 @@ def _coefficient_energies(band: BandpassInterval, N: int, starts, n: int) -> lis
     k, mag = np.empty((2, rows, _STRIDE))
     ea, eb = np.empty((2, rows, _STRIDE), dtype=np.complex128)
     sums = []
-    for start in starts:
+    for start in range(0, n, _BLOCK):
         m = min(start + _BLOCK, n) - start
         r = -(-m // _STRIDE)
         np.add(grid[:r], N + 1 + start, out=k[:r])

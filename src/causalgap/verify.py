@@ -3,7 +3,9 @@
 Each check returns a CheckResult instead of raising, so the CLI can print a
 full pass/fail table.  Randomized checks derive every draw from the given
 seed; two runs with the same seed produce identical results, including the
-detail strings.
+detail strings.  Each oracle check compares energies, adds back the mean of
+the kernel tail its grid misses, and allows the proven rest, its rule's error
+and _ROUNDING.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .signals import AnalogDelay, DigitalDelay, DigitalSequence
 __all__ = ["CheckResult", "run_checks", "SUITES"]
 
 PI_4 = 0.25 * math.pi
+#: allowance for rounding in the sums the oracle checks compare, far above it
+_ROUNDING = 1e-12
 
 
 class CheckResult(Frozen):
@@ -42,6 +46,41 @@ def _result(suite: str, name: str, worst: float, tol: float) -> CheckResult:
     return CheckResult(
         suite, name, worst <= tol, f"worst {_fmt(worst)} tol {_fmt(tol)}"
     )
+
+
+def _worst_case(suite: str, name: str, cases) -> CheckResult:
+    """The result for the (gap, bound) pair with the largest gap / bound."""
+    return _result(suite, name, *max(cases, key=lambda case: case[0] / case[1]))
+
+
+def _analog_tail(c: float, R: float) -> tuple[float, float]:
+    """The energy of h beyond R, (1/pi) int_R^inf (1 - cos ct) / t^2 dt, as its
+    mean 1/(pi R) and the bound 2/(pi c R^2) on the rest (cos(ct) / t^2 by parts)."""
+    return 1.0 / (math.pi * R), 2.0 / (math.pi * c * R * R)
+
+
+def _digital_tail(c: float, K: int) -> tuple[float, float]:
+    """The energy of c_k beyond K, sum_{k>K} (1 - cos kc) / k^2 / (2 pi^2), as its
+    mean (1/K - 1/(2K^2)) / (2 pi^2) and the bound on the rest: sum_{k>K} 1/k^2
+    exceeds 1/K - 1/(2K^2) by under 1/(6K^3) (DLMF 2.10.1), and Abel summation
+    bounds the cosine sum by 1/((K+1)^2 sin(c/2)), 0 < c < 2 pi."""
+    rest = 1.0 / (6.0 * K**3) + 1.0 / ((K + 1) ** 2 * math.sin(0.5 * c))
+    return (1.0 / K - 0.5 / K**2) / (2.0 * math.pi**2), rest / (2.0 * math.pi**2)
+
+
+def _rule_error(c: float, a: float, b: float, dt: float, k: int) -> float:
+    """Bound on |rule - integral| of f = |h|^2 = (1 - cos ct) / (pi t^2) over
+    [a, b], 0 < a < b <= inf, for the midpoint (k = 24) or trapezoid (k = 12)
+    rule of step dt: Euler-Maclaurin (DLMF 2.10.1) to its f' term, the rest at
+    most dt^4/384 times the integral of |f^(4)| beyond a, by |1 - cos| <= 2."""
+
+    def df(t: float) -> float:
+        if math.isinf(t):
+            return 0.0
+        return (c * t * math.sin(c * t) - 2.0 * (1.0 - math.cos(c * t))) / (math.pi * t**3)
+
+    d4 = (c**4 / a + 4 * c**3 / a**2 + 12 * c**2 / a**3 + 24 * c / a**4 + 48 / a**5) / math.pi
+    return dt**2 / k * (abs(df(a)) + abs(df(b))) + dt**4 / 384 * d4
 
 
 # ---------------------------------------------------------------- analog
@@ -122,21 +161,28 @@ def _chk_angle_range(seed: int) -> CheckResult:
 
 
 def _chk_analog_oracle(seed: int) -> CheckResult:
+    # the midpoints cover [-R, -T]; the energy beyond -R is added back
     band = BandpassInterval.analog(0.0, 2.0)
-    radius, dt = 1e3, 1e-3
-    rep = analog.delayed_report(band, AnalogDelay(0.5))
-    orc = analog_distance_oracle(band, AnalogDelay(0.5), radius, dt)
-    worst = abs(rep.distance - orc.value)
-    return _result("analog", "riemann-oracle-agreement", worst, orc.tail_bound + 5 * dt)
+    c, T, radius, dt = band.bandwidth, 0.5, 1e2, 1e-2
+    rep = analog.delayed_report(band, AnalogDelay(T))
+    orc = analog_distance_oracle(band, AnalogDelay(T), radius, dt)
+    mean, rest = _analog_tail(c, radius)
+    gap = abs(rep.distance**2 - (orc.value**2 + mean))
+    tol = rest + _rule_error(c, T, radius, dt, 24) + _ROUNDING
+    return _result("analog", "riemann-oracle-agreement", gap, tol)
 
 
 def _chk_plancherel(seed: int) -> CheckResult:
+    # |h|^2 holds no frequency beyond c < 2 pi / dt, so by Poisson summation
+    # the midpoints over the whole line sum to c exactly: what [-R, R] misses
+    # is the two tails, each sampled by the midpoint rule
     band = BandpassInterval.analog(0.0, 2.0)
-    radius, dt = 5e3, 1e-2
-    m = int(round(2 * radius / dt))
-    norm = math.sqrt(_midpoint_energy(band, -radius, dt, m))
-    worst = abs(norm - math.sqrt(band.bandwidth))
-    return _result("analog", "kernel-norm-plancherel", worst, 1e-2)
+    c, radius, dt = band.bandwidth, 1e2, 1e-2
+    energy = _midpoint_energy(band, -radius, dt, int(round(2 * radius / dt)))
+    mean, rest = _analog_tail(c, radius)
+    gap = abs(energy + 2.0 * mean - c)
+    tol = 2.0 * (rest + _rule_error(c, radius, math.inf, dt, 24)) + _ROUNDING
+    return _result("analog", "kernel-norm-plancherel", gap, tol)
 
 
 def _chk_bandwidth_to_zero(seed: int) -> CheckResult:
@@ -161,28 +207,28 @@ def _chk_half_circle_constants(seed: int) -> CheckResult:
 
 
 def _chk_digital_oracle(seed: int) -> CheckResult:
-    worst_excess = -1.0
-    K = 10**5
+    # the oracle sums k up to K; the energy beyond K is added back
+    K = 10**4
+    cases = []
     for c in (1.0, math.pi):
         band = digital._band_of_width(c)
+        mean, rest = _digital_tail(c, K)
         for N in (0, 5):
             rep = digital.delayed_report_digital(band, DigitalDelay(N))
             orc = digital_distance_oracle(band, DigitalDelay(N), K)
-            gap = abs(rep.distance**2 - orc.value**2)
-            worst_excess = max(worst_excess, gap - (orc.tail_bound + 1e-9))
-    return _result("digital", "series-oracle-agreement", max(0.0, worst_excess), 0.0)
+            cases.append((abs(rep.distance**2 - (orc.value**2 + mean)), rest + _ROUNDING))
+    return _worst_case("digital", "series-oracle-agreement", cases)
 
 
 def _chk_parseval(seed: int) -> CheckResult:
+    # the table holds |k| <= K: the defect is the energy of both tails
     K = 10**4
-    worst = 0.0
+    cases = []
     for c in (1.0, math.pi, 6.0):
-        band = digital._band_of_width(c)
-        table = digital.FourierCoefficientTable.build(band, -K, K)
-        defect = table.parseval_defect()
-        bound = 2.0 / (math.pi**2 * K) + 1e-12
-        worst = max(worst, -defect, defect - bound)
-    return _result("digital", "parseval-defect", max(0.0, worst), 0.0)
+        table = digital.FourierCoefficientTable.build(digital._band_of_width(c), -K, K)
+        mean, rest = _digital_tail(c, K)
+        cases.append((abs(table.parseval_defect() - 2.0 * mean), 2.0 * rest + _ROUNDING))
+    return _worst_case("digital", "parseval-defect", cases)
 
 
 def _chk_angle_monotone_N(seed: int) -> CheckResult:
@@ -300,16 +346,20 @@ def _chk_digital_truncation_limit(seed: int) -> CheckResult:
 
 
 def _chk_sampled_analog_truncation(seed: int) -> CheckResult:
+    # the samples dropped, t_j in [-R, -T), are a rectangle rule; half of
+    # each end sample, the first kept one at the cut, makes it the
+    # trapezoid rule on [-R, t_cut], and the energy beyond -R is added back
     band = BandpassInterval.analog(0.0, 2.0)
-    T, radius, dt = 0.5, 1e3, 1e-3
-    n = int(round(2 * radius / dt)) + 1
-    h = analog.AnalogImpulseResponse(band).sample(-radius, dt, n)
+    c, T, radius, dt = band.bandwidth, 0.5, 1e2, 1e-2
+    h = analog.AnalogImpulseResponse(band).sample(-radius, dt, int(round(2 * radius / dt)) + 1)
     kept = operators.truncate_to_delay_analog(h, AnalogDelay(T))
-    resid2 = h.energy() - kept.energy()
+    cut = operators._analog_cut(h, AnalogDelay(T))
+    ends = 0.5 * dt * (abs(h.values[cut]) ** 2 - abs(h.values[0]) ** 2)
+    mean, rest = _analog_tail(c, radius)
     target = analog.delayed_report(band, AnalogDelay(T)).distance ** 2
-    return _result(
-        "operators", "sampled-truncation-energy", abs(resid2 - target), max(1e-3, 5 * dt)
-    )
+    gap = abs(h.energy() - kept.energy() + ends + mean - target)
+    tol = rest + _rule_error(c, T, radius, dt, 12) + _ROUNDING
+    return _result("operators", "sampled-truncation-energy", gap, tol)
 
 
 SUITES: dict[str, tuple] = {

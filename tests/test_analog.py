@@ -1,9 +1,8 @@
 """Analog side: ideal band kernels and causal/delayed distances."""
 
-import itertools
+import hashlib
 import math
 import sys
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -100,8 +99,8 @@ def _same_bits(got, want):
 
 
 _BLOCK = analog_module._BLOCK
-#: the sampled-truncation-energy grid of verify: 2,000,001 points, dt 1e-3
-_VERIFY_GRID = -1e3 + 1e-3 * np.arange(2_000_001)
+#: 2,000,001 points at step 1e-3 over [-1e3, 1e3]: 123 blocks, the last one partial
+_WIDE_GRID = -1e3 + 1e-3 * np.arange(2_000_001)
 _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5])
 #: a signed-zero center and a width that scales to a subnormal amplitude
 _BANDS = (
@@ -113,19 +112,19 @@ _BANDS = (
 
 
 class TestBlockwiseImpulseResponse:
-    """Blocks, threads and the sampled grid change no bit of the literal form."""
+    """Blocks and the sampled grid change no bit of the literal form."""
 
     @pytest.mark.parametrize("band", _BANDS, ids=str)
     def test_every_input_shape_matches_the_literal_form(self, band):
         rng = np.random.default_rng(11)
         wide = rng.standard_normal((300, 70)) * 40.0
         inputs = (
-            _VERIFY_GRID,
+            _WIDE_GRID,
             np.sort(rng.uniform(-1e4, 1e4, 100_003)),
             _EDGES,
             wide,
             wide[::2, ::3],
-            _VERIFY_GRID[::7],
+            _WIDE_GRID[::7],
         )
         for t in inputs:
             assert _same_bits(impulse_response(band, t), _literal_response(band, t))
@@ -137,24 +136,32 @@ class TestBlockwiseImpulseResponse:
     def test_sampled_grid_matches_the_literal_form(self):
         band = BandpassInterval.analog(0.0, 2.0)
         sig = AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2_000_001)
-        assert np.array_equal(sig.times(), _VERIFY_GRID)
-        assert _same_bits(sig.values, _literal_response(band, _VERIFY_GRID))
+        assert np.array_equal(sig.times(), _WIDE_GRID)
+        assert _same_bits(sig.values, _literal_response(band, _WIDE_GRID))
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_worker_count_changes_no_bit(self, monkeypatch, cpus):
-        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: cpus)
+    def test_worker_count_changes_no_bit(self, on_one_and_all_cpus):
         band = BandpassInterval.analog(1.0, 4.0)
-        t = _VERIFY_GRID[:300_001]
-        assert _same_bits(impulse_response(band, t), _literal_response(band, t))
-        sig = AnalogImpulseResponse(band).sample(-150.0, 1e-3, 300_001)
-        assert _same_bits(sig.values, _literal_response(band, sig.times()))
+        t = _WIDE_GRID[:300_001]
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from causalgap import AnalogImpulseResponse, BandpassInterval, impulse_response\n"
+            "band = BandpassInterval.analog(1.0, 4.0)\n"
+            "t = -1e3 + 1e-3 * np.arange(300_001)\n"
+            "for h in (impulse_response(band, t),\n"
+            "          AnalogImpulseResponse(band).sample(-150.0, 1e-3, 300_001).values):\n"
+            "    print(hashlib.sha256(h.tobytes()).hexdigest())\n"
+        )
+        want = "".join(
+            hashlib.sha256(_literal_response(band, times).tobytes()).hexdigest() + "\n"
+            for times in (t, -150.0 + 1e-3 * np.arange(300_001))
+        )
+        assert on_one_and_all_cpus(script) == [want, want]
 
-    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
-        # more callers than cores, each splitting its range, with frequent
-        # thread switches
-        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 3)
+    def test_concurrent_callers_get_their_own_bits(self):
+        # more callers than cores, with frequent thread switches
         bands = [BandpassInterval.analog(-k, 1.0 + k) for k in range(6)]
-        t = _VERIFY_GRID[:200_000]
+        t = _WIDE_GRID[:200_000]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -166,83 +173,32 @@ class TestBlockwiseImpulseResponse:
         for band, got in zip(bands, results):
             assert _same_bits(got, _literal_response(band, t))
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK + 5])
-    def test_every_block_is_claimed_once(self, monkeypatch, threads, n):
-        # with frequent thread switches, a claim drawn twice or lost shows
-        monkeypatch.setattr(analog_module, "_usable_cpus", lambda: threads)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            parts = analog_module._in_parts(n, list)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(parts) == min(threads, -(-n // _BLOCK))
-        assert sorted(itertools.chain(*parts)) == list(range(0, n, _BLOCK))
-
-    @pytest.mark.parametrize("stalled", ["caller", "worker"])
-    def test_a_stalled_thread_leaves_the_other_blocks_to_the_free_one(self, monkeypatch,
-                                                                     stalled):
-        claimed = _stall_on_the_first_block(monkeypatch, stalled)
-        band = BandpassInterval.analog(1.0, 4.0)
-        t = _VERIFY_GRID[: 5 * _BLOCK + 3]
-        assert _same_bits(impulse_response(band, t), _literal_response(band, t))
-        other = "worker" if stalled == "caller" else "caller"
-        assert claimed == {stalled: [0], other: list(range(_BLOCK, t.size, _BLOCK))}
-
-    @pytest.mark.parametrize("where", [0, -1], ids=["caller-part", "worker-part"])
-    def test_callers_errstate_reaches_every_part(self, monkeypatch, where):
-        # sin(inf) is an invalid operation, in the first block, which the
-        # stalled caller claims, or in the last, which the worker fills
-        claimed = _stall_on_the_first_block(monkeypatch, "caller")
+    @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
+    def test_callers_errstate_reaches_every_block(self, where):
+        # sin(inf) is an invalid operation, in the first block or the last;
+        # a block that raises leaves the blocks after it unfilled
         band = BandpassInterval.analog(0.0, 2.0)
-        t = _VERIFY_GRID[:200_000].copy()
+        t = _WIDE_GRID[:200_000].copy()
         t[where] = math.inf
+        filled = []
+
+        def times(lo, hi, buf):
+            filled.append(lo)
+            return t[lo:hi]
+
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError):
                 _literal_response(band, t)
             with pytest.raises(FloatingPointError):
                 impulse_response(band, t)
-        assert claimed["caller"] == [0]
-        assert claimed["worker"][-1] == t.size // _BLOCK * _BLOCK
-        claimed.clear()
+            with pytest.raises(FloatingPointError):
+                analog_module._fill_range(band, times, t.size, np.empty(t.size, complex))
+        blocks = list(range(0, t.size, _BLOCK))
+        assert filled == (blocks[:1] if where == 0 else blocks)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
                 impulse_response(band, t)
-        assert claimed["caller"] == [0] and len(claimed["worker"]) == t.size // _BLOCK
-
-
-def _stall_on_the_first_block(monkeypatch, stalled):
-    """Run the array layer on two threads, the stalled one ("caller" or
-    "worker") claiming the first block and filling it only once the other
-    has run out of blocks, in every call; returns {thread: the block starts
-    it claimed}."""
-    monkeypatch.setattr(analog_module, "_usable_cpus", lambda: 2)
-    fill_range = analog_module._fill_range
-    caller = threading.get_ident()
-    first_claimed, other_done = threading.Event(), threading.Event()
-    claimed = {}
-
-    def fill(band, times, starts, n, out=None):
-        who = "caller" if threading.get_ident() == caller else "worker"
-        mine = claimed.setdefault(who, [])
-        starts = (mine.append(start) or start for start in starts)
-        if who == stalled:
-            first = next(starts)
-            first_claimed.set()
-            assert other_done.wait(60)
-            first_claimed.clear()  # the other thread is done: ready for the next call
-            other_done.clear()
-            return fill_range(band, times, itertools.chain([first], starts), n, out)
-        assert first_claimed.wait(60)
-        try:
-            return fill_range(band, times, starts, n, out)
-        finally:
-            other_done.set()
-
-    monkeypatch.setattr(analog_module, "_fill_range", fill)
-    return claimed
 
 
 class TestMidpointEnergy:
@@ -264,13 +220,16 @@ class TestMidpointEnergy:
         else:
             assert abs(got - want) <= 1e-15 * want
 
-    def test_worker_count_changes_no_bit(self, monkeypatch):
+    def test_worker_count_changes_no_bit(self, on_one_and_all_cpus):
         band = BandpassInterval.analog(1.0, 4.0)
-        energies = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(analog_module, "_usable_cpus", lambda: cpus)
-            energies.append(_midpoint_energy(band, self.START, self.DT, self.M))
-        assert energies[0] == energies[1]
+        script = (
+            "from causalgap import BandpassInterval\n"
+            "from causalgap.oracle import _midpoint_energy\n"
+            "band = BandpassInterval.analog(1.0, 4.0)\n"
+            f"print(_midpoint_energy(band, {self.START}, {self.DT}, {self.M}).hex())\n"
+        )
+        want = _midpoint_energy(band, self.START, self.DT, self.M).hex() + "\n"
+        assert on_one_and_all_cpus(script) == [want, want]
 
 
 class TestCausalReport:

@@ -932,19 +932,22 @@ class TestWithoutNumpy:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_reports_and_sweeps_leave_the_thread_pool_unloaded(self):
-        # only a long impulse response loads the pool and starts threads
+    def test_no_call_loads_a_thread_pool(self):
+        # the array calls fill their blocks on the caller's thread too
+        argvs = _SCALAR_ARGVS + [
+            ["impulse", "--mode", "analog", "--a", "0", "--b", "2", "--t-max", "200",
+             "--dt", "0.01"],
+            ["verify", "--suite", "all", "--seed", "0"],
+        ]
         script = (
             "import contextlib, io, sys\n"
             "from causalgap import cli\n"
-            f"for argv in {_SCALAR_ARGVS!r}:\n"
+            f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
             "from causalgap import BandpassInterval, analog\n"
-            "analog._usable_cpus = lambda: 2\n"
             "analog.AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-1.0, 1e-5, 200001)\n"
-            "assert 'concurrent.futures' in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

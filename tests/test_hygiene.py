@@ -172,3 +172,22 @@ def test_no_blas_reductions(name):
             if dotted.partition(".")[2] in _BLAS_CALLS and dotted.startswith(("np.", "numpy.")):
                 found.append(dotted)
     assert not found, f"{name} sums through BLAS: {found}"
+
+
+#: modules for running work on other threads
+_THREAD_MODULES = {"threading", "concurrent.futures", "contextvars"}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_no_threads(name):
+    # every array is filled block by block on the caller's thread, so no
+    # module starts threads or sizes a pool by os.sched_getaffinity
+    found = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in _THREAD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module in _THREAD_MODULES:
+            found.append(node.module)
+        elif isinstance(node, ast.Attribute) and node.attr == "sched_getaffinity":
+            found.append(_dotted(node))
+    assert not found, f"{name} uses threads: {found}"

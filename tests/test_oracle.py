@@ -24,7 +24,6 @@ from causalgap import (
     digital_distance_oracle,
     limit_probe,
 )
-from causalgap import analog
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,13 +133,15 @@ class TestDigitalDistanceOracle:
         got = digital_distance_oracle(band, DigitalDelay(N), max_index=K).value
         assert mpref.rel_err(got, exact) <= 1e-15
 
-    def test_cpu_count_changes_no_bit(self, monkeypatch):
+    def test_cpu_count_changes_no_bit(self, on_one_and_all_cpus):
         band = BandpassInterval.digital(1.0, 4.0)
-        values = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(analog, "_usable_cpus", lambda: cpus)
-            values.append(digital_distance_oracle(band, DigitalDelay(5), max_index=self.K).value)
-        assert values[0] == values[1] == values[2]
+        script = (
+            "from causalgap import BandpassInterval, DigitalDelay, digital_distance_oracle\n"
+            "band = BandpassInterval.digital(1.0, 4.0)\n"
+            f"print(digital_distance_oracle(band, DigitalDelay(5), {self.K}).value.hex())\n"
+        )
+        want = digital_distance_oracle(band, DigitalDelay(5), max_index=self.K).value.hex()
+        assert on_one_and_all_cpus(script) == [want + "\n"] * 2
 
 
 def test_oracle_sums_do_not_depend_on_blas_threads():

@@ -1,10 +1,11 @@
 """The built-in self-check suites must pass on a correct build."""
 
+import math
 import tracemalloc
 
 import pytest
 
-from causalgap import DomainError, analog, verify
+from causalgap import ApproximationReport, DomainError, analog, digital, verify
 from causalgap.verify import SUITES, CheckResult, run_checks
 
 
@@ -46,21 +47,25 @@ def test_seed_changes_probes_not_verdicts():
         assert all(r.passed for r in run_checks("operators", seed=seed))
 
 
+#: one block's scratch: three float rows and a bool row of _BLOCK points,
+#: and the float row of indices the grid's times are made from
+_SCRATCH = 33 * analog._BLOCK
+
+
 @pytest.mark.parametrize(
     "check, limit",
     [
-        (verify._chk_plancherel, 2 * 2**20),
-        (verify._chk_analog_oracle, 2 * 2**20),
-        # h and the kept copy of its 2,000,001 complex samples, with 5% to spare
-        (verify._chk_sampled_analog_truncation, 2.1 * 16 * 2_000_001),
+        (verify._chk_plancherel, _SCRATCH),
+        # 9,950 midpoints, under one block
+        (verify._chk_analog_oracle, 33 * 9_950),
+        # h's 20,001 complex samples while the last block is filled
+        (verify._chk_sampled_analog_truncation, 16 * 20_001 + _SCRATCH),
     ],
     ids=["plancherel", "analog-oracle", "sampled-analog-truncation"],
 )
-def test_heavy_checks_stay_within_their_memory(monkeypatch, check, limit):
+def test_heavy_checks_stay_within_their_memory(check, limit):
     # tracemalloc sees numpy's buffers; the untraced run settles lazy
-    # imports; each part of a sampled range has its own block buffers, so
-    # the part count is pinned
-    monkeypatch.setattr(analog, "_usable_cpus", lambda: 2)
+    # imports; 5% to spare
     assert check(0).passed
     tracemalloc.start()
     try:
@@ -68,4 +73,28 @@ def test_heavy_checks_stay_within_their_memory(monkeypatch, check, limit):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= limit
+    assert peak <= 1.05 * limit
+
+
+def _scaled(report_fn):
+    """report_fn with every distance it reports 1e-4 larger, relatively."""
+
+    def mutant(band, delay):
+        rep = report_fn(band, delay)
+        distance = rep.distance * (1.0 + 1e-4)
+        return ApproximationReport(rep.kernel_norm, distance,
+                                   math.asin(min(1.0, distance / rep.kernel_norm)),
+                                   rep.subspace, rep.method, rep.error_estimate, rep.delay)
+
+    return mutant
+
+
+@pytest.mark.parametrize("module, report, oracle_checks", [
+    (analog, "delayed_report",
+     {"analog.riemann-oracle-agreement", "operators.sampled-truncation-energy"}),
+    (digital, "delayed_report_digital", {"digital.series-oracle-agreement"}),
+], ids=["analog", "digital"])
+def test_oracle_checks_fail_a_distance_off_by_1e_4(monkeypatch, module, report, oracle_checks):
+    monkeypatch.setattr(module, report, _scaled(getattr(module, report)))
+    failed = {f"{r.suite}.{r.name}" for r in run_checks("all", seed=0) if not r.passed}
+    assert oracle_checks <= failed
