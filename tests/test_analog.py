@@ -173,6 +173,27 @@ class TestBlockwiseImpulseResponse:
         for band, got in zip(bands, results):
             assert _same_bits(got, _literal_response(band, t))
 
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK + 5])
+    def test_every_block_is_filled_once_in_order(self, n):
+        # a block drawn twice, lost or cut at the wrong edge shows here
+        band = BandpassInterval.analog(1.0, 4.0)
+        t = _WIDE_GRID[:n]
+        seen = []
+
+        def times(lo, hi, buf):
+            seen.append((lo, hi, buf.size))
+            return t[lo:hi]
+
+        out = np.empty(n, complex)
+        assert analog_module._fill_range(band, times, n, out) == []
+        starts = list(range(0, n, _BLOCK))
+        assert seen == [(lo, min(lo + _BLOCK, n), min(_BLOCK, n)) for lo in starts]
+        assert _same_bits(out, _literal_response(band, t))
+        sums = analog_module._fill_range(band, times, n)
+        assert len(sums) == len(starts)
+        assert math.fsum(sums) == pytest.approx(
+            float(np.sum(np.abs(_literal_response(band, t)) ** 2)), rel=1e-13)
+
     @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
     def test_callers_errstate_reaches_every_block(self, where):
         # sin(inf) is an invalid operation, in the first block or the last;
