@@ -9,9 +9,10 @@ and digital (unit circle) settings, and ships the brute-force oracles used
 to validate every closed form.
 
 Outside verify, numpy is imported only inside the functions that build or
-reduce arrays: the analog impulse response, operators, oracles and the
-coefficient tables.  Scalar reports, sweeps, limit probes and the command
-line's digital coefficient tables and impulse responses never load it.
+reduce arrays: the analog impulse response, operators, oracles and
+best_causal_coefficients.  Scalar reports, sweeps, limit probes and the
+command line's digital coefficient tables and impulse responses never load
+it.
 """
 
 from .errors import (
@@ -30,7 +31,6 @@ from .analog import (
     impulse_response,
 )
 from .digital import (
-    FourierCoefficientTable,
     best_causal_coefficients,
     causal_report_digital,
     delayed_report_digital,
@@ -61,7 +61,6 @@ __all__ = [
     "DigitalDelay",
     "DigitalSequence",
     "DomainError",
-    "FourierCoefficientTable",
     "LimitProbeResult",
     "NonMonotoneLadder",
     "NormEstimate",

@@ -20,8 +20,8 @@ a negative number with an exponent or an infinity, such as --a -1e-3 or
 
 Only `verify` and the analog impulse response load numpy.  The digital
 coefficient tables and impulse responses are built one coefficient at a
-time by the formula FourierCoefficientTable uses, so they print the same
-bits as the library's tables.
+time by the formula best_causal_coefficients evaluates with numpy, so they
+print the same bits as its taps.
 
 All numeric output uses 17 significant digits so every value parses back
 to the exact in-memory double.  Output is deterministic for a given

@@ -15,7 +15,6 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from ._frozen import Frozen
 from .analog import ApproximationReport
 from .errors import DomainError
 from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
@@ -24,10 +23,7 @@ from .signals import DigitalDelay, DigitalSequence
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    import numpy as np
-
 __all__ = [
-    "FourierCoefficientTable",
     "causal_report_digital",
     "delayed_report_digital",
     "best_causal_coefficients",
@@ -64,75 +60,12 @@ def _coefficient(k, c: float, center: float, sin, exp):
 
 def _coefficients(band: BandpassInterval, ks) -> Iterator[complex]:
     """c_k for each integer k of ks, lazily and without numpy: bit for bit
-    the values of FourierCoefficientTable.build."""
+    the values best_causal_coefficients builds with numpy."""
     c, center = band.bandwidth, band.center
     c0 = complex(c / TWO_PI)
     return (
         _coefficient(float(k), c, center, math.sin, cmath.exp) if k else c0 for k in ks
     )
-
-
-class FourierCoefficientTable(Frozen):
-    """Coefficients c_k of a band indicator for k in [k_min, k_min + len).
-
-    Stable product form: c_0 = (b - a) / (2 pi) and, for k != 0,
-    c_k = sin(k c / 2) / (pi k) * exp(-i k (a + b) / 2).
-    """
-
-    __slots__ = ("band", "k_min", "values")
-    _hidden = ("values",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, band: BandpassInterval, k_min: int, values: np.ndarray) -> None:
-        import numpy as np
-
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficient table must be a nonempty vector")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "k_min", k_min)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def build(cls, band: BandpassInterval, k_min: int, k_max: int) -> "FourierCoefficientTable":
-        """Table of c_k for k_min <= k <= k_max inclusive."""
-        import numpy as np
-
-        _require_digital(band)
-        if k_max < k_min:
-            raise ValueError("need k_min <= k_max")
-        k = np.arange(k_min, k_max + 1)
-        vals = np.empty(k.shape, dtype=np.complex128)
-        nz = k != 0
-        kk = k[nz].astype(np.float64)
-        vals[nz] = _coefficient(kk, band.bandwidth, band.center, np.sin, np.exp)
-        vals[~nz] = band.bandwidth / TWO_PI
-        return cls(band, k_min, vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def indices(self) -> np.ndarray:
-        import numpy as np
-
-        return self.k_min + np.arange(len(self.values))
-
-    def coefficient(self, k: int) -> complex:
-        if not self.k_min <= k < self.k_min + len(self.values):
-            raise IndexError(f"index {k} outside table range")
-        return complex(self.values[k - self.k_min])
-
-    def energy(self) -> float:
-        """sum |c_k|^2 over the table window."""
-        import numpy as np
-
-        return float(np.sum(np.abs(self.values) ** 2))
-
-    def parseval_defect(self) -> float:
-        """(b - a) / (2 pi) minus the table energy; tends to 0 as the window grows."""
-        return self.band.bandwidth / TWO_PI - self.energy()
 
 
 def _bracket(band: BandpassInterval, N: int) -> float:
@@ -215,6 +148,12 @@ def best_causal_coefficients(
     N = delay.N
     if window < N:
         raise ValueError("window must be at least the look-ahead")
-    table = FourierCoefficientTable.build(band, -window, N)
-    return DigitalSequence._own(-N, table.values[::-1].copy())
+    import numpy as np
+
+    k = np.arange(N, -window - 1, -1, dtype=np.float64)  # h[n] = c_k at k = -n
+    values = np.empty(k.shape, dtype=np.complex128)
+    nz = k != 0.0
+    values[nz] = _coefficient(k[nz], band.bandwidth, band.center, np.sin, np.exp)
+    values[N] = band.bandwidth / TWO_PI  # c_0, at n = 0
+    return DigitalSequence._own(-N, values)
 

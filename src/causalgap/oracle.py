@@ -5,8 +5,9 @@ analog oracle is a plain midpoint Riemann sum of |h|^2, summed as the
 squared real amplitude (c / sqrt(2 pi)) sinc(c t / 2 pi) of the kernel (no
 closed form, no sine integral), and the digital oracle sums |c_k|^2 from
 the defining difference of exponentials, each an anchor's times a table's
-(no half-angle form).  Each oracle returns its value with the analytic
-bound on what the finite grid or index cutoff can miss.
+(no half-angle form).  Each oracle adds back the mean of the kernel energy
+its grid or index cutoff misses and reports the proven bound on the rest as
+tail_bound; the error of the analog oracle's midpoint rule is not in it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ __all__ = [
 
 
 class OracleDistance(Frozen):
-    """Brute-force distance plus the analytic bound on the truncated part."""
+    """Brute-force distance, with the tail mean added, and the bound on the
+    rest of the tail."""
 
     __slots__ = ("value", "tail_bound")
 
@@ -47,19 +49,27 @@ def analog_distance_oracle(
 ) -> OracleDistance:
     """Riemann-sum distance to the delay-T filters, from the kernel samples.
 
-    sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2); the energy the
-    grid misses beyond -R is 1/(pi R) within 2/(pi c R^2), under tail_bound 2/(pi R).
+    sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2 + 1/(pi R)): the
+    energy the grid misses beyond -R is its mean 1/(pi R) within tail_bound
+    2/(pi c R^2).  The midpoint rule's own error is not in tail_bound.
     """
     _require_analog(band)
     if not dt > 0.0:
         raise DomainError("dt must be positive")
+    if not (math.isfinite(grid_radius) and grid_radius > 0.0):
+        raise DomainError("grid radius must be finite and positive")
     if grid_radius < delay.T:
         raise DomainError("grid radius must reach the truncation point")
     m = int(round((grid_radius - delay.T) / dt))
-    tail = 2.0 / (math.pi * grid_radius)
-    if m <= 0:
-        return OracleDistance(0.0, tail)
-    return OracleDistance(math.sqrt(_midpoint_energy(band, -grid_radius, dt, m)), tail)
+    mean, rest = _analog_tail(band.bandwidth, grid_radius)
+    energy = _midpoint_energy(band, -grid_radius, dt, m) if m > 0 else 0.0
+    return OracleDistance(math.sqrt(energy + mean), rest)
+
+
+def _analog_tail(c: float, R: float) -> tuple[float, float]:
+    """The energy of h beyond R, (1/pi) int_R^inf (1 - cos ct) / t^2 dt, as its
+    mean 1/(pi R) and the bound 2/(pi c R^2) on the rest (cos(ct) / t^2 by parts)."""
+    return 1.0 / (math.pi * R), 2.0 / (math.pi * c * R * R)
 
 
 def _midpoint_energy(band: BandpassInterval, start: float, dt: float, m: int) -> float:
@@ -83,20 +93,30 @@ def digital_distance_oracle(
 ) -> OracleDistance:
     """Partial-sum distance to the N-tap filters, from the defining c_k.
 
-    sqrt(sum_{k=N+1}^{K} |c_k|^2) with
+    sqrt(sum_{k=N+1}^{K} |c_k|^2 + mean) with
     c_k = (exp(-i k a) - exp(-i k b)) / (2 pi i k), each exponential made
     from an anchor and a table with no large phase rounded, in blocks whose
-    sums are added exactly.  The energy beyond K is under tail_bound
-    1/(pi^2 K): (1/K - 1/(2K^2)) / (2 pi^2) up to a term of order 1/K^2.
+    sums are added exactly.  The energy beyond K is its mean
+    (1/K - 1/(2K^2)) / (2 pi^2) within tail_bound; see _digital_tail.
     """
     _require_digital(band)
     N = delay.N
+    if not isinstance(max_index, int) or isinstance(max_index, bool):
+        raise DomainError("max_index must be an integer")
     if max_index <= N:
         raise DomainError("max_index must exceed the look-ahead")
-    tail = 2.0 / (max_index * math.pi) / TWO_PI
-    n = max_index - N
-    energy = math.fsum(_coefficient_energies(band, N, n))
-    return OracleDistance(math.sqrt(energy), tail)
+    mean, rest = _digital_tail(band.bandwidth, max_index)
+    energy = math.fsum(_coefficient_energies(band, N, max_index - N))
+    return OracleDistance(math.sqrt(energy + mean), rest)
+
+
+def _digital_tail(c: float, K: int) -> tuple[float, float]:
+    """The energy of c_k beyond K, sum_{k>K} (1 - cos kc) / k^2 / (2 pi^2), as its
+    mean (1/K - 1/(2K^2)) / (2 pi^2) and the bound on the rest: sum_{k>K} 1/k^2
+    exceeds 1/K - 1/(2K^2) by under 1/(6K^3) (DLMF 2.10.1), and Abel summation
+    bounds the cosine sum by 1/((K+1)^2 sin(c/2)), 0 < c < 2 pi."""
+    rest = 1.0 / (6.0 * K**3) + 1.0 / ((K + 1) ** 2 * math.sin(0.5 * c))
+    return (1.0 / K - 0.5 / K**2) / (2.0 * math.pi**2), rest / (2.0 * math.pi**2)
 
 
 _STRIDE = 128  # indices per anchor of the digital oracle's exponentials

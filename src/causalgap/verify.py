@@ -3,9 +3,9 @@
 Each check returns a CheckResult instead of raising, so the CLI can print a
 full pass/fail table.  Randomized checks derive every draw from the given
 seed; two runs with the same seed produce identical results, including the
-detail strings.  Each oracle check compares energies, adds back the mean of
-the kernel tail its grid misses, and allows the proven rest, its rule's error
-and _ROUNDING.
+detail strings.  Each array check compares energies, adds back the mean of
+the kernel tail its grid misses (the oracles add it themselves), and allows
+the proven rest, its rule's error and _ROUNDING.
 """
 
 from __future__ import annotations
@@ -17,8 +17,14 @@ import numpy as np
 from . import analog, digital, operators
 from ._frozen import Frozen
 from .errors import DomainError
-from .kernel import BandpassInterval, oscillatory_tail_integral, oscillatory_tail_sum
-from .oracle import _midpoint_energy, analog_distance_oracle, digital_distance_oracle
+from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral, oscillatory_tail_sum
+from .oracle import (
+    _analog_tail,
+    _digital_tail,
+    _midpoint_energy,
+    analog_distance_oracle,
+    digital_distance_oracle,
+)
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence
 
 __all__ = ["CheckResult", "run_checks", "SUITES"]
@@ -51,21 +57,6 @@ def _result(suite: str, name: str, worst: float, tol: float) -> CheckResult:
 def _worst_case(suite: str, name: str, cases) -> CheckResult:
     """The result for the (gap, bound) pair with the largest gap / bound."""
     return _result(suite, name, *max(cases, key=lambda case: case[0] / case[1]))
-
-
-def _analog_tail(c: float, R: float) -> tuple[float, float]:
-    """The energy of h beyond R, (1/pi) int_R^inf (1 - cos ct) / t^2 dt, as its
-    mean 1/(pi R) and the bound 2/(pi c R^2) on the rest (cos(ct) / t^2 by parts)."""
-    return 1.0 / (math.pi * R), 2.0 / (math.pi * c * R * R)
-
-
-def _digital_tail(c: float, K: int) -> tuple[float, float]:
-    """The energy of c_k beyond K, sum_{k>K} (1 - cos kc) / k^2 / (2 pi^2), as its
-    mean (1/K - 1/(2K^2)) / (2 pi^2) and the bound on the rest: sum_{k>K} 1/k^2
-    exceeds 1/K - 1/(2K^2) by under 1/(6K^3) (DLMF 2.10.1), and Abel summation
-    bounds the cosine sum by 1/((K+1)^2 sin(c/2)), 0 < c < 2 pi."""
-    rest = 1.0 / (6.0 * K**3) + 1.0 / ((K + 1) ** 2 * math.sin(0.5 * c))
-    return (1.0 / K - 0.5 / K**2) / (2.0 * math.pi**2), rest / (2.0 * math.pi**2)
 
 
 def _rule_error(c: float, a: float, b: float, dt: float, k: int) -> float:
@@ -161,14 +152,13 @@ def _chk_angle_range(seed: int) -> CheckResult:
 
 
 def _chk_analog_oracle(seed: int) -> CheckResult:
-    # the midpoints cover [-R, -T]; the energy beyond -R is added back
+    # the midpoints cover [-R, -T]; the oracle adds back the energy beyond -R
     band = BandpassInterval.analog(0.0, 2.0)
     c, T, radius, dt = band.bandwidth, 0.5, 1e2, 1e-2
     rep = analog.delayed_report(band, AnalogDelay(T))
     orc = analog_distance_oracle(band, AnalogDelay(T), radius, dt)
-    mean, rest = _analog_tail(c, radius)
-    gap = abs(rep.distance**2 - (orc.value**2 + mean))
-    tol = rest + _rule_error(c, T, radius, dt, 24) + _ROUNDING
+    gap = abs(rep.distance**2 - orc.value**2)
+    tol = orc.tail_bound + _rule_error(c, T, radius, dt, 24) + _ROUNDING
     return _result("analog", "riemann-oracle-agreement", gap, tol)
 
 
@@ -207,27 +197,28 @@ def _chk_half_circle_constants(seed: int) -> CheckResult:
 
 
 def _chk_digital_oracle(seed: int) -> CheckResult:
-    # the oracle sums k up to K; the energy beyond K is added back
+    # the oracle sums k up to K and adds back the energy beyond K
     K = 10**4
     cases = []
     for c in (1.0, math.pi):
         band = digital._band_of_width(c)
-        mean, rest = _digital_tail(c, K)
         for N in (0, 5):
             rep = digital.delayed_report_digital(band, DigitalDelay(N))
             orc = digital_distance_oracle(band, DigitalDelay(N), K)
-            cases.append((abs(rep.distance**2 - (orc.value**2 + mean)), rest + _ROUNDING))
+            cases.append((abs(rep.distance**2 - orc.value**2), orc.tail_bound + _ROUNDING))
     return _worst_case("digital", "series-oracle-agreement", cases)
 
 
 def _chk_parseval(seed: int) -> CheckResult:
-    # the table holds |k| <= K: the defect is the energy of both tails
+    # h holds c_k for |k| <= K: the defect is the energy of both tails
     K = 10**4
     cases = []
     for c in (1.0, math.pi, 6.0):
-        table = digital.FourierCoefficientTable.build(digital._band_of_width(c), -K, K)
+        band = digital._band_of_width(c)
+        h = digital.best_causal_coefficients(band, DigitalDelay(K), K)
+        defect = band.bandwidth / TWO_PI - h.norm() ** 2
         mean, rest = _digital_tail(c, K)
-        cases.append((abs(table.parseval_defect() - 2.0 * mean), 2.0 * rest + _ROUNDING))
+        cases.append((abs(defect - 2.0 * mean), 2.0 * rest + _ROUNDING))
     return _worst_case("digital", "parseval-defect", cases)
 
 
@@ -262,14 +253,15 @@ def _chk_causal_is_delay_zero(seed: int) -> CheckResult:
 
 
 def _chk_best_coefficients(seed: int) -> CheckResult:
+    # h holds c_k for -K <= k <= 0; the energy below -K is added back
     band = _half_circle()
-    extent = 10**4
+    K = 10**4
     rep = digital.causal_report_digital(band)
-    h = digital.best_causal_coefficients(band, DigitalDelay(0), extent)
-    pythag = h.norm() ** 2 + rep.distance**2 - rep.kernel_norm**2
-    tol = 2.0 / (math.pi**2 * extent) + 1e-12
+    h = digital.best_causal_coefficients(band, DigitalDelay(0), K)
+    mean, rest = _digital_tail(band.bandwidth, K)
+    pythag = h.norm() ** 2 + mean + rep.distance**2 - rep.kernel_norm**2
     worst = max(abs(pythag), abs(complex(h.values[0]) - 0.5))
-    return _result("digital", "best-approximant-energy-split", worst, tol)
+    return _result("digital", "best-approximant-energy-split", worst, rest + _ROUNDING)
 
 
 def _chk_tail_sum_route(seed: int) -> CheckResult:
@@ -336,13 +328,15 @@ def _chk_truncation_residual(seed: int) -> CheckResult:
 
 
 def _chk_digital_truncation_limit(seed: int) -> CheckResult:
+    # h holds c_k for |k| <= K; the energy above K is added back
     band = _half_circle()
     K = 2048
     h = digital.best_causal_coefficients(band, DigitalDelay(K), K)
     kept = operators.truncate_to_delay(h, DigitalDelay(0))
-    resid2 = h.norm() ** 2 - kept.norm() ** 2
+    mean, rest = _digital_tail(band.bandwidth, K)
+    resid2 = h.norm() ** 2 - kept.norm() ** 2 + mean
     target = digital.causal_report_digital(band).distance ** 2
-    return _result("operators", "causal-truncation-energy", abs(resid2 - target), 1e-4)
+    return _result("operators", "causal-truncation-energy", abs(resid2 - target), rest + _ROUNDING)
 
 
 def _chk_sampled_analog_truncation(seed: int) -> CheckResult:

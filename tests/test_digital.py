@@ -14,7 +14,6 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     DomainError,
-    FourierCoefficientTable,
     best_causal_coefficients,
     causal_report_digital,
     delayed_report_digital,
@@ -33,9 +32,21 @@ def _centred_band(c: float) -> BandpassInterval:
     return BandpassInterval.digital(math.pi - 0.5 * c, math.pi + 0.5 * c)
 
 
+def _table(band: BandpassInterval, K: int) -> np.ndarray:
+    """c_k at position k + K for |k| <= K: the taps h[n] = c_{-n} of the best
+    filter with K taps of look-ahead over the window K, reversed."""
+    return best_causal_coefficients(band, DigitalDelay(K), K).values[::-1]
+
+
 def _coefficient(band: BandpassInterval, k: int) -> complex:
-    """c_k from a one-entry table."""
-    return FourierCoefficientTable.build(band, k, k).coefficient(k)
+    """c_k from the smallest window that holds it."""
+    return complex(_table(band, abs(k))[k + abs(k)])
+
+
+def _parseval_defect(band: BandpassInterval, K: int) -> float:
+    """(b - a) / (2 pi) minus the energy of the c_k with |k| <= K."""
+    taps = best_causal_coefficients(band, DigitalDelay(K), K)
+    return band.bandwidth / TWO_PI - taps.norm() ** 2
 
 
 def _literal(band: BandpassInterval, k: int) -> complex:
@@ -73,41 +84,43 @@ class TestFourierCoefficient:
             a = float(rng.uniform(1e-3, 5.0))
             b = float(rng.uniform(a + 1e-3, TWO_PI - 1e-3))
             band = BandpassInterval.digital(a, b)
-            table = FourierCoefficientTable.build(band, -33, 200)
+            table = _table(band, 200)
             for k in (1, -1, 2, 7, -33, 200):
-                assert abs(table.coefficient(k) - _literal(band, k)) <= 1e-14
+                assert abs(table[k + 200] - _literal(band, k)) <= 1e-14
 
     @given(digital_bands(), st.integers(1, 500))
     def test_magnitude_symmetry(self, band, k):
-        table = FourierCoefficientTable.build(band, -k, k)
-        plus = abs(table.coefficient(k))
-        minus = abs(table.coefficient(-k))
+        table = _table(band, k)
+        plus = abs(table[2 * k])
+        minus = abs(table[0])
         assert math.isclose(plus, minus, rel_tol=1e-14, abs_tol=1e-300)
 
     def test_rejects_analog_band(self):
         with pytest.raises(ValueError):
-            FourierCoefficientTable.build(BandpassInterval.analog(0.0, 1.0), 0, 0)
+            best_causal_coefficients(BandpassInterval.analog(0.0, 1.0), DigitalDelay(0), 0)
 
 
-class TestFourierCoefficientTable:
+class TestTwoSidedTaps:
+    """With K taps of look-ahead over the window K the taps hold every c_k, |k| <= K."""
+
     def test_matches_single_coefficients(self):
         band = BandpassInterval.digital(1.0, 4.0)
-        table = FourierCoefficientTable.build(band, -6, 6)
-        assert len(table) == 13
-        assert np.array_equal(table.indices(), np.arange(-6, 7))
+        taps = best_causal_coefficients(band, DigitalDelay(6), 6)
+        assert len(taps) == 13
+        assert np.array_equal(taps.indices(), np.arange(-6, 7))
         for k in range(-6, 7):
-            assert abs(table.coefficient(k) - _literal(band, k)) <= 1e-15
+            assert abs(taps.values[6 - k] - _literal(band, k)) <= 1e-15
 
     def test_energy_is_sum_of_squares(self):
         band = _half_circle()
-        table = FourierCoefficientTable.build(band, -4, 4)
+        taps = best_causal_coefficients(band, DigitalDelay(4), 4)
         direct = sum(abs(_literal(band, k)) ** 2 for k in range(-4, 5))
-        assert table.energy() == pytest.approx(direct, rel=1e-14)
+        assert taps.norm() ** 2 == pytest.approx(direct, rel=1e-14)
 
     def test_parseval_defect_shrinks_with_window(self):
         band = BandpassInterval.digital(1.0, 1.0 + math.pi)
-        small = FourierCoefficientTable.build(band, -100, 100).parseval_defect()
-        large = FourierCoefficientTable.build(band, -10000, 10000).parseval_defect()
+        small = _parseval_defect(band, 100)
+        large = _parseval_defect(band, 10000)
         assert 0.0 < large < small
 
     def test_parseval_defect_bound(self):
@@ -115,18 +128,18 @@ class TestFourierCoefficientTable:
         K = 10**4
         for c in (1.0, math.pi, 6.0):
             band = BandpassInterval.digital(0.1, 0.1 + c)
-            defect = FourierCoefficientTable.build(band, -K, K).parseval_defect()
+            defect = _parseval_defect(band, K)
             assert 0.0 < defect <= 2.0 / (math.pi**2 * K) + 1e-12
 
     def test_parseval_defect_crude_bound_large_window(self):
         K = 10**5
         band = _half_circle()
-        defect = FourierCoefficientTable.build(band, -K, K).parseval_defect()
+        defect = _parseval_defect(band, K)
         assert defect <= 4.0 / (K * math.pi) + 1e-10
 
 
 class TestScalarCoefficients:
-    """The CLI's numpy-free route is bit for bit FourierCoefficientTable.build."""
+    """The CLI's numpy-free route is bit for bit best_causal_coefficients."""
 
     @staticmethod
     def _bands():
@@ -142,10 +155,10 @@ class TestScalarCoefficients:
         return [BandpassInterval.digital(a, b) for a, b in edges]
 
     @pytest.mark.parametrize("window", [0, 1, 10**4])
-    def test_matches_the_table_bit_for_bit(self, window):
+    def test_matches_the_taps_bit_for_bit(self, window):
         for band in self._bands():
             ks = range(-window, window + 1)
-            table = FourierCoefficientTable.build(band, -window, window).values
+            table = _table(band, window)
             scalar = np.array(list(_coefficients(band, ks)), dtype=np.complex128)
             # int64 views tell signed zeros apart and compare NaN payloads
             for part in ("real", "imag"):

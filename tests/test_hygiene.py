@@ -108,8 +108,6 @@ def test_every_private_top_level_name_is_read(name):
 _UNREAD_API = {
     "ApproximationReport.consistency_error":
         "states the report's invariant distance = kernel_norm * sin(angle) for callers",
-    "FourierCoefficientTable.coefficient":
-        "looks up c_k by index k rather than by position in the table",
 }
 
 

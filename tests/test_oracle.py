@@ -15,15 +15,16 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     DomainError,
-    FourierCoefficientTable,
     NonMonotoneLadder,
     analog_distance_oracle,
+    best_causal_coefficients,
     delayed_distance_si,
     delayed_report,
     delayed_report_digital,
     digital_distance_oracle,
     limit_probe,
 )
+from causalgap.oracle import _coefficient_energies, _digital_tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,12 +33,19 @@ def _half_circle() -> BandpassInterval:
     return BandpassInterval.digital(0.5 * math.pi, 1.5 * math.pi)
 
 
+def _partial_sum_distance(band: BandpassInterval, N: int, K: int) -> float:
+    """The digital oracle's distance before it adds back the mean beyond K."""
+    return math.sqrt(math.fsum(_coefficient_energies(band, N, K - N)))
+
+
 class TestAnalogDistanceOracle:
     def test_window_equal_to_radius_leaves_nothing(self):
+        # no midpoints: the value is the tail mean 1/(pi R) alone, and the
+        # bound is the rest, 2/(pi c R^2)
         band = BandpassInterval.analog(0.0, 2.0)
         res = analog_distance_oracle(band, AnalogDelay(5.0), grid_radius=5.0, dt=0.1)
-        assert res.value == 0.0
-        assert res.tail_bound == pytest.approx(2.0 / (math.pi * 5.0), rel=1e-15)
+        assert res.value == pytest.approx(math.sqrt(1.0 / (math.pi * 5.0)), rel=1e-15)
+        assert res.tail_bound == pytest.approx(2.0 / (math.pi * 2.0 * 5.0**2), rel=1e-15)
 
     def test_causal_distance(self):
         band = BandpassInterval.analog(0.0, 2.0)
@@ -58,6 +66,14 @@ class TestAnalogDistanceOracle:
         with pytest.raises(DomainError):
             analog_distance_oracle(band, AnalogDelay(20.0), grid_radius=10.0, dt=0.1)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_rejects_a_radius_that_is_not_finite_and_positive(self, radius):
+        # inf once raised OverflowError and nan int()'s ValueError; at 0 the
+        # tail mean 1/(pi R) divided by zero
+        band = BandpassInterval.analog(0.0, 2.0)
+        with pytest.raises(DomainError, match="grid radius"):
+            analog_distance_oracle(band, AnalogDelay(0.0), grid_radius=radius, dt=0.1)
+
 
 class TestDigitalDistanceOracle:
     def test_half_circle_causal(self):
@@ -71,9 +87,15 @@ class TestDigitalDistanceOracle:
     def test_single_slice_equals_one_coefficient(self):
         band = BandpassInterval.digital(1.0, 4.0)
         K = 64
-        res = digital_distance_oracle(band, DigitalDelay(K - 1), max_index=K)
-        ck = FourierCoefficientTable.build(band, K, K).coefficient(K)
-        assert res.value == pytest.approx(abs(ck), rel=1e-12)
+        ck = best_causal_coefficients(band, DigitalDelay(K), K).values[0]  # h[-K] = c_K
+        assert _partial_sum_distance(band, K - 1, K) == pytest.approx(abs(ck), rel=1e-12)
+
+    def test_value_adds_back_the_tail_mean(self):
+        band = BandpassInterval.digital(1.0, 4.0)
+        N, K = 5, 1000
+        res = digital_distance_oracle(band, DigitalDelay(N), max_index=K)
+        partial = math.fsum(_coefficient_energies(band, N, K - N))
+        assert res.value == math.sqrt(partial + _digital_tail(band.bandwidth, K)[0])
 
     def test_energy_agreement_with_closed_form(self):
         K = 10**5
@@ -83,15 +105,23 @@ class TestDigitalDistanceOracle:
                 rep = delayed_report_digital(band, DigitalDelay(N))
                 res = digital_distance_oracle(band, DigitalDelay(N), max_index=K)
                 gap = abs(rep.distance**2 - res.value**2)
-                assert gap <= res.tail_bound + 1e-9
+                assert gap <= res.tail_bound + 1e-12
 
     def test_tail_bound_value(self):
+        # (1/(6 K^3) + 1/((K + 1)^2 sin(c/2))) / (2 pi^2), sin(c/2) = 1 at c = pi
         res = digital_distance_oracle(_half_circle(), DigitalDelay(0), max_index=1000)
-        assert res.tail_bound == pytest.approx(2.0 / (1000 * math.pi) / TWO_PI, rel=1e-15)
+        rest = 1.0 / (6.0 * 1000**3) + 1.0 / 1001**2
+        assert res.tail_bound == pytest.approx(rest / (2.0 * math.pi**2), rel=1e-15)
 
     def test_rejects_window_inside_lookahead(self):
         with pytest.raises(DomainError):
             digital_distance_oracle(_half_circle(), DigitalDelay(10), max_index=10)
+
+    @pytest.mark.parametrize("K", [1.5, 10.0, True])
+    def test_rejects_a_max_index_that_is_not_an_int(self, K):
+        # 1.5 once raised TypeError, and True passed as K = 1
+        with pytest.raises(DomainError, match="max_index"):
+            digital_distance_oracle(_half_circle(), DigitalDelay(0), max_index=K)
 
     # three whole blocks of 2**14 indices and five more
     K = 3 * 2**14 + 5
@@ -118,8 +148,7 @@ class TestDigitalDistanceOracle:
             ** 2
             for k in range(N + 1, K + 1)
         ))
-        got = digital_distance_oracle(band, DigitalDelay(N), max_index=K).value
-        assert got == pytest.approx(want, rel=1e-14)
+        assert _partial_sum_distance(band, N, K) == pytest.approx(want, rel=1e-14)
 
     def test_no_large_phase_is_rounded(self):
         # at a narrow band just below 2 pi the literal exp(-1j * k * x)
@@ -130,8 +159,7 @@ class TestDigitalDistanceOracle:
             c = band.b - band.a  # exact
             exact = mpmath.sqrt((mpref.digital_tail(c, N) - mpref.digital_tail(c, K))
                                 / (2 * mpmath.pi**2))
-        got = digital_distance_oracle(band, DigitalDelay(N), max_index=K).value
-        assert mpref.rel_err(got, exact) <= 1e-15
+        assert mpref.rel_err(_partial_sum_distance(band, N, K), exact) <= 1e-15
 
     def test_cpu_count_changes_no_bit(self, on_one_and_all_cpus):
         band = BandpassInterval.digital(1.0, 4.0)

@@ -3,7 +3,7 @@
 Each class is immutable, prints its fields (array fields left out), takes
 its fields by keyword or by position, validates them at construction, and
 survives pickle and deepcopy.  The scalar classes compare and hash by
-field; the three classes that hold arrays compare by identity.
+field; the two classes that hold arrays compare by identity.
 """
 
 import copy
@@ -19,7 +19,6 @@ from causalgap import (
     BandpassInterval,
     DigitalDelay,
     DigitalSequence,
-    FourierCoefficientTable,
     LimitProbeResult,
     NormEstimate,
     OracleDistance,
@@ -79,7 +78,7 @@ VALUE_CASES = [
     ),
 ]
 
-#: (class, fields in order, repr) for the three classes that hold an array
+#: (class, fields in order, repr) for the two classes that hold an array
 ARRAY_CASES = [
     (
         SampledSignal,
@@ -90,11 +89,6 @@ ARRAY_CASES = [
         DigitalSequence,
         {"offset": -2, "values": np.array([1.0, 0.5])},
         "DigitalSequence(offset=-2)",
-    ),
-    (
-        FourierCoefficientTable,
-        {"band": DIGITAL_BAND, "k_min": -1, "values": np.array([0.25, 1 / np.pi, 0.25j])},
-        "FourierCoefficientTable(band=BandpassInterval(a=2.0, b=4.0, mode='digital'), k_min=-1)",
     ),
 ]
 
@@ -148,7 +142,6 @@ class TestConstruction:
         for holder in (
             SampledSignal(0.0, 1.0, raw),
             DigitalSequence(0, raw),
-            FourierCoefficientTable(DIGITAL_BAND, 0, raw),
         ):
             assert holder.values.dtype == np.complex128
             assert not holder.values.flags.writeable
@@ -268,10 +261,6 @@ class TestValidation:
             (lambda: ApproximationReport(1.0, 0.5, 0.5, "Acausal", "ClosedForm"),
              "unknown subspace 'Acausal'"),
             (lambda: AnalogImpulseResponse(DIGITAL_BAND), "expected an analog band"),
-            (lambda: FourierCoefficientTable(DIGITAL_BAND, 0, []),
-             "coefficient table must be a nonempty vector"),
-            (lambda: FourierCoefficientTable(DIGITAL_BAND, 0, [[1.0]]),
-             "coefficient table must be a nonempty vector"),
             (lambda: NormEstimate(2.0, 1.0), "lower bound exceeds upper bound"),
         ],
     )

@@ -79,8 +79,8 @@ def test_heavy_checks_stay_within_their_memory(check, limit):
 def _scaled(report_fn):
     """report_fn with every distance it reports 1e-4 larger, relatively."""
 
-    def mutant(band, delay):
-        rep = report_fn(band, delay)
+    def mutant(band, *delay):
+        rep = report_fn(band, *delay)
         distance = rep.distance * (1.0 + 1e-4)
         return ApproximationReport(rep.kernel_norm, distance,
                                    math.asin(min(1.0, distance / rep.kernel_norm)),
@@ -93,7 +93,10 @@ def _scaled(report_fn):
     (analog, "delayed_report",
      {"analog.riemann-oracle-agreement", "operators.sampled-truncation-energy"}),
     (digital, "delayed_report_digital", {"digital.series-oracle-agreement"}),
-], ids=["analog", "digital"])
+    # the two checks that add back the mean of the coefficients beyond a window
+    (digital, "causal_report_digital",
+     {"digital.best-approximant-energy-split", "operators.causal-truncation-energy"}),
+], ids=["analog", "digital", "digital-causal"])
 def test_oracle_checks_fail_a_distance_off_by_1e_4(monkeypatch, module, report, oracle_checks):
     monkeypatch.setattr(module, report, _scaled(getattr(module, report)))
     failed = {f"{r.suite}.{r.name}" for r in run_checks("all", seed=0) if not r.passed}
