@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .analog import ApproximationReport
@@ -48,14 +49,16 @@ def _band_of_width(c: float) -> BandpassInterval:
         raise DomainError(f"digital bandwidth {c!r} has no band centred on pi: {exc}") from exc
 
 
-def _coefficient(k, c: float, center: float, sin, exp):
-    """c_k = sin(k c / 2) / (pi k) * exp(-i k center) for a float k != 0.
+def _coefficient_factors(k, c: float, center: float, sin, exp):
+    """sin(k c / 2) / (pi k) and exp(-i k center), whose product is c_k, for a
+    float k != 0.
 
     k is one float, with sin and exp math.sin and cmath.exp, or a float
     array, with np.sin and np.exp; both kinds evaluate the same operations
-    in the same order, so they agree bit for bit.
+    in the same order, so they agree bit for bit.  The first factor is the
+    same at -k and the second is conjugated, since sin is odd.
     """
-    return sin(0.5 * k * c) / (math.pi * k) * exp(-1j * k * center)
+    return sin(0.5 * k * c) / (math.pi * k), exp(-1j * k * center)
 
 
 def _coefficients(band: BandpassInterval, ks) -> Iterator[complex]:
@@ -64,7 +67,9 @@ def _coefficients(band: BandpassInterval, ks) -> Iterator[complex]:
     c, center = band.bandwidth, band.center
     c0 = complex(c / TWO_PI)
     return (
-        _coefficient(float(k), c, center, math.sin, cmath.exp) if k else c0 for k in ks
+        operator.mul(*_coefficient_factors(float(k), c, center, math.sin, cmath.exp))
+        if k else c0
+        for k in ks
     )
 
 
@@ -150,10 +155,11 @@ def best_causal_coefficients(
         raise ValueError("window must be at least the look-ahead")
     import numpy as np
 
-    k = np.arange(N, -window - 1, -1, dtype=np.float64)  # h[n] = c_k at k = -n
-    values = np.empty(k.shape, dtype=np.complex128)
-    nz = k != 0.0
-    values[nz] = _coefficient(k[nz], band.bandwidth, band.center, np.sin, np.exp)
+    k = np.arange(1, window + 1, dtype=np.float64)
+    amp, phase = _coefficient_factors(k, band.bandwidth, band.center, np.sin, np.exp)
+    values = np.empty(N + 1 + window, dtype=np.complex128)  # h[n] = c_k at k = -n
+    values[:N] = np.multiply(amp[:N], phase[:N])[::-1]  # c_N, ..., c_1
     values[N] = band.bandwidth / TWO_PI  # c_0, at n = 0
+    np.multiply(amp, np.conjugate(phase, out=phase), out=values[N + 1:])  # c_{-k}
     return DigitalSequence._own(-N, values)
 

@@ -15,6 +15,7 @@ distance.  Everything is pure Python.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 
@@ -170,6 +171,31 @@ _SIGNED_INV_FACTORIAL = tuple(
 )
 
 
+class _Width:
+    """What oscillatory_tail_sum has computed for one width rho, grown on demand.
+
+    head holds the terms 2 sin^2(k rho / 2) / k^2 for k = lo..255 and then
+    the series tail from 256, so lo = 257 - len(head); it is empty until a
+    call with first < 256.  lerch is None or (ratio, (b_0, ..., b_M)), the
+    Lerch expansion's coefficients.  Each field is an immutable value that
+    is only ever replaced whole, so threads that share an entry may repeat
+    work but always read a consistent one.
+    """
+
+    __slots__ = ("rho", "head", "lerch")
+
+    def __init__(self, rho: float) -> None:
+        self.rho = rho
+        self.head = ()
+        self.lerch = None
+
+
+@functools.lru_cache(maxsize=64)
+def _width(rho: float) -> _Width:
+    """The memo entry of width rho; the 64 widths used last are kept."""
+    return _Width(rho)
+
+
 def _trigamma(a: float) -> float:
     """psi'(a) for a >= _SERIES_MIN_INDEX, by its asymptotic series.
 
@@ -186,7 +212,7 @@ def _trigamma(a: float) -> float:
     return math.fsum(terms)
 
 
-def _lerch_cos_sum(rho: float, a: float) -> float:
+def _lerch_cos_sum(width: _Width, a: float) -> float:
     """sum_{k >= a} cos(k rho) / k^2 for a * rho >= _EXPANSION_MIN_ARG.
 
     The sum is Re[e^{i a rho} Phi(w, 2, a)] with w = e^{i rho}, and
@@ -196,22 +222,29 @@ def _lerch_cos_sum(rho: float, a: float) -> float:
     follow from (1 - w e^{-t}) sum_m b_m t^m = 1:
     (1 - w) b_m = w sum_{j=1}^{m} b_{m-j} (-1)^j / j!.  The terms fall like
     m! / (a rho)^m.  Summation stops when two consecutive terms are both
-    negligible, since at rho = pi every other coefficient vanishes.
+    negligible, since at rho = pi every other coefficient vanishes.  The b_m
+    depend on rho alone: they are read from width, and only the ones no
+    earlier call needed are computed and stored back.
     """
-    half = math.sin(0.5 * rho)
-    b0 = 1.0 / complex(2.0 * half * half, -math.sin(rho))  # 1 / (1 - w)
-    ratio = cmath.rect(1.0, rho) * b0
-    newest_first = [b0]
-    total = b0
+    rho = width.rho
+    if width.lerch is None:
+        half = math.sin(0.5 * rho)
+        b0 = 1.0 / complex(2.0 * half * half, -math.sin(rho))  # 1 / (1 - w)
+        width.lerch = (cmath.rect(1.0, rho) * b0, (b0,))
+    ratio, known = width.lerch
+    coeffs = list(known)
+    total = coeffs[0]
     scale = 1.0
-    previous = abs(b0)
+    previous = abs(total)
     # the tail is about 1/a and the terms enter it divided by a^2
     negligible = 2.0**-55 * a
     for m in range(1, _EXPANSION_MAX_TERMS):
-        b_m = ratio * sum(map(operator.mul, newest_first, _SIGNED_INV_FACTORIAL))
-        newest_first.insert(0, b_m)
+        if m == len(coeffs):
+            coeffs.append(
+                ratio * sum(map(operator.mul, reversed(coeffs), _SIGNED_INV_FACTORIAL))
+            )
         scale *= (m + 1) / a
-        term = b_m * scale
+        term = coeffs[m] * scale
         total += term
         size = abs(term)
         if size + previous <= negligible:
@@ -219,6 +252,8 @@ def _lerch_cos_sum(rho: float, a: float) -> float:
         previous = size
     else:
         raise RuntimeError(f"Lerch expansion did not settle at a*rho = {a * rho!r}")
+    if len(coeffs) > len(known):
+        width.lerch = (ratio, tuple(coeffs))
     return (cmath.rect(1.0, a * rho) * total).real / (a * a)
 
 
@@ -261,6 +296,13 @@ def _fold_bandwidth(c: float) -> float:
     return c if c <= math.pi else (TWO_PI - c) + _TWO_PI_LO
 
 
+def _series_tail(width: _Width, a: float) -> float:
+    """sum over k >= a of (1 - cos(k rho)) / k^2, for a >= _SERIES_MIN_INDEX."""
+    if a * width.rho < _EXPANSION_MIN_ARG:
+        return _euler_maclaurin_tail(width.rho, a)
+    return _trigamma(a) - _lerch_cos_sum(width, a)
+
+
 def oscillatory_tail_sum(c: float, first: int) -> float:
     """sum over k >= first of (1 - cos(k c)) / k^2, at a cost independent of first.
 
@@ -275,22 +317,32 @@ def oscillatory_tail_sum(c: float, first: int) -> float:
     oscillating part is only 1/(a rho) of it.  A first below 256 adds the
     head terms 2 sin^2(k rho / 2) / k^2, first <= k < 256, in one exact
     sum; all of them are nonnegative, so nothing cancels.
+
+    What depends on rho alone is kept for the 64 widths used last: the head
+    terms with the tail from 256, and the Lerch coefficients b_m.  The first
+    call on a width computes what it needs, as many as 255 sines, and
+    stores it; a repeated call computes only what no earlier call on that
+    width did, so below 256 it costs one exact sum of at most 256 stored
+    terms, and from 256 on O(M) for the M expansion terms it reads.
+    math.fsum is correctly rounded, so a value does not depend on which
+    calls came before.
     """
     if not 0.0 < c < TWO_PI:
         raise ValueError("bandwidth c must lie in (0, 2*pi)")
     if not 1 <= first <= 2**53:
         raise ValueError("first index must lie in [1, 2**53]")
-    rho = _fold_bandwidth(c)
-    a = float(max(first, _SERIES_MIN_INDEX))
-    if a * rho < _EXPANSION_MIN_ARG:
-        tail = _euler_maclaurin_tail(rho, a)
-    else:
-        tail = _trigamma(a) - _lerch_cos_sum(rho, a)
+    width = _width(_fold_bandwidth(c))
     if first >= _SERIES_MIN_INDEX:
-        return tail
-    h = 0.5 * rho
-    terms = [tail]
-    for k in map(float, range(first, _SERIES_MIN_INDEX)):
-        s = math.sin(h * k)
-        terms.append(2.0 * s * s / (k * k))
-    return math.fsum(terms)
+        return _series_tail(width, float(first))
+    head = width.head
+    lo = _SERIES_MIN_INDEX + 1 - len(head)
+    if first < lo:
+        h, sin = 0.5 * width.rho, math.sin
+        terms = [
+            2.0 * (s := sin(h * k)) * s / (k * k)
+            for k in map(float, range(first, min(lo, _SERIES_MIN_INDEX)))
+        ]
+        terms += head or (_series_tail(width, float(_SERIES_MIN_INDEX)),)
+        head = width.head = tuple(terms)
+        lo = first
+    return math.fsum(head[first - lo:])

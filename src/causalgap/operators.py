@@ -36,9 +36,13 @@ def convolve_digital(h: DigitalSequence, f: DigitalSequence) -> DigitalSequence:
 
 def matched_input(h: DigitalSequence) -> DigitalSequence:
     """Unit-norm input maximizing |(h * f)[0]|: reversed conjugate of h."""
+    return _matched(h, h.norm())
+
+
+def _matched(h: DigitalSequence, norm: float) -> DigitalSequence:
+    """matched_input(h), given norm = ||h||."""
     import numpy as np
 
-    norm = h.norm()
     if norm == 0.0:
         raise ZeroKernel("matched input of the zero kernel is undefined")
     vals = np.conj(h.values[::-1]) / norm
@@ -66,8 +70,9 @@ def operator_norm_estimate(h: DigitalSequence) -> NormEstimate:
     """
     import numpy as np
 
-    out = convolve_digital(h, matched_input(h))
-    return NormEstimate(lower=float(np.max(np.abs(out.values))), upper=h.norm())
+    norm = h.norm()
+    out = convolve_digital(h, _matched(h, norm))
+    return NormEstimate(lower=float(np.abs(out.values).max()), upper=norm)
 
 
 def _kept(values, cut: int):

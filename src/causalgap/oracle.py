@@ -52,6 +52,9 @@ def analog_distance_oracle(
     sqrt(dt * sum over midpoints t in [-R, -T) of |h(t)|^2 + 1/(pi R)): the
     energy the grid misses beyond -R is its mean 1/(pi R) within tail_bound
     2/(pi c R^2).  The midpoint rule's own error is not in tail_bound.
+    (R - T) / dt must lie within 1e-9 of a whole number m of steps, relative
+    to m, or the grid would end away from -T and the sliver between would be
+    counted nowhere; DomainError otherwise.
     """
     _require_analog(band)
     if not dt > 0.0:
@@ -60,7 +63,10 @@ def analog_distance_oracle(
         raise DomainError("grid radius must be finite and positive")
     if grid_radius < delay.T:
         raise DomainError("grid radius must reach the truncation point")
-    m = int(round((grid_radius - delay.T) / dt))
+    steps = (grid_radius - delay.T) / dt
+    m = round(steps) if math.isfinite(steps) else 0
+    if not abs(steps - m) <= 1e-9 * max(1, m):
+        raise DomainError("the grid must step from -R to -T in a whole number of dt")
     mean, rest = _analog_tail(band.bandwidth, grid_radius)
     energy = _midpoint_energy(band, -grid_radius, dt, m) if m > 0 else 0.0
     return OracleDistance(math.sqrt(energy + mean), rest)

@@ -45,7 +45,7 @@ def _as_complex_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     return _read_only(arr.copy())
 

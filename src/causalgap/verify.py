@@ -114,11 +114,15 @@ def _chk_delay_zero(seed: int) -> CheckResult:
     return _result("analog", "delay-zero-matches-causal", worst, 1e-12)
 
 
+#: the 64-point Gauss-Legendre rule on [-1, 1], as (nodes, weights)
+_GAUSS_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
+
+
 def _chk_quad_vs_si(seed: int) -> CheckResult:
     # kernel mass over [-T, T]: the closed form against a fixed 64-point
     # Gauss-Legendre rule on [0, T] of 2 sin^2(c t / 2) / (pi t^2), which
     # shares no code with it
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = _GAUSS_LEGENDRE_64
     worst = 0.0
     for c in (0.5, 1.0, math.pi, 6.0):
         for T in (0.1, 1.0, 10.0):

@@ -166,6 +166,17 @@ class TestScalarCoefficients:
                 want = getattr(table, part).view(np.int64)
                 assert np.array_equal(got, want), (band, window, part)
 
+    @pytest.mark.parametrize("N, window", [(1, 1), (3, 200), (200, 123457)])
+    def test_mirrored_taps_match_bit_for_bit(self, N, window):
+        # the taps at k < 0 are the conjugated factors of c_|k|
+        for band in self._bands():
+            taps = best_causal_coefficients(band, DigitalDelay(N), window).values
+            scalar = np.array(list(_coefficients(band, range(N, -window - 1, -1))))
+            for part in ("real", "imag"):
+                got = getattr(taps, part).view(np.int64)
+                want = getattr(scalar, part).view(np.int64)
+                assert np.array_equal(got, want), (band, N, window, part)
+
 
 class TestCausalReportDigital:
     def test_half_circle_constants(self):

@@ -189,3 +189,24 @@ def test_no_threads(name):
         elif isinstance(node, ast.Attribute) and node.attr == "sched_getaffinity":
             found.append(_dotted(node))
     assert not found, f"{name} uses threads: {found}"
+
+
+def _unbounded_cache(node) -> str:
+    """The text of node if it makes a cache that never evicts, else ''."""
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return "from functools import cache" if "cache" in {a.name for a in node.names} else ""
+    if isinstance(node, ast.Attribute) and node.attr == "cache" and _dotted(node) == "functools.cache":
+        return "functools.cache"
+    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "lru_cache":
+        size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+        if size and isinstance(size[0], ast.Constant) and size[0].value is None:
+            return "lru_cache(maxsize=None)"
+    return ""
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_no_unbounded_cache(name):
+    # a memo keyed by caller input grows without end in a long-lived
+    # process, so every cache in the package names its maxsize
+    found = [text for node in ast.walk(_tree(name)) if (text := _unbounded_cache(node))]
+    assert not found, f"{name} makes unbounded caches: {found}"

@@ -240,3 +240,97 @@ class TestOscillatoryTailSum:
             dumb = math.fsum((1.0 - np.cos(c * k)) / (k * k))
             slack = 2.0 / (first + 10**6 - 1)
             assert abs(oscillatory_tail_sum(c, first) - dumb) <= slack
+
+
+def _cold(c: float, first: int) -> float:
+    """oscillatory_tail_sum(c, first) with nothing kept from earlier calls."""
+    kernel._width.cache_clear()
+    return oscillatory_tail_sum(c, first)
+
+
+class TestWidthMemo:
+    """What depends on the width alone is kept per width; every value is the
+    one a call on an empty memo gives, bit for bit, whatever came before."""
+
+    _HEAD_FIRSTS = (1, 2, 17, 128, 254, 255, 256)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_head_grows_and_is_reused(self, order):
+        # descending grows the head one term at a time; ascending fills it
+        # at once and then only reads it; the second pass reads it in both
+        for c in (0.05, 0.234375, 1.0, math.pi, 4.0, TWO_PI - 1e-6):
+            firsts = self._HEAD_FIRSTS[::order]
+            cold = [_cold(c, first) for first in firsts]
+            kernel._width.cache_clear()
+            for _ in range(2):
+                assert [oscillatory_tail_sum(c, first) for first in firsts] == cold, c
+
+    def test_a_width_and_its_mirror_share_an_entry(self):
+        for c in (4.0, 6.0, TWO_PI - 1e-3):
+            rho = kernel._fold_bandwidth(c)
+            assert rho == pytest.approx(TWO_PI - c, rel=1e-12)
+            cold = _cold(rho, 17)
+            kernel._width.cache_clear()
+            assert oscillatory_tail_sum(c, 17) == cold
+            assert oscillatory_tail_sum(rho, 17) == cold
+            info = kernel._width.cache_info()
+            assert (info.currsize, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["large-a-first", "small-a-first"])
+    def test_lerch_coefficients_grow_and_are_reused(self, order):
+        # a large a needs few b_m and a small one many: one order extends
+        # the stored coefficients, the other reads a prefix of them
+        for c in (0.234375, 0.5, 1.0, math.pi, 5.0):
+            firsts = (2**53, 10**8, 10**6 + 1, 1001, 301, 256, 17)[::order]
+            cold = [_cold(c, first) for first in firsts]
+            kernel._width.cache_clear()
+            assert [oscillatory_tail_sum(c, first) for first in firsts] == cold, c
+
+    @pytest.mark.parametrize("a", [256, 1000, 4321])
+    def test_where_a_rho_rounds_to_the_route_switch(self, a):
+        # Euler-Maclaurin below a rho = 60 and the Lerch expansion from there,
+        # on one stored width, in both orders
+        rho = 60.0 / a
+        assert a * rho == pytest.approx(60.0, rel=1e-15)
+        firsts = (a - 1, a, a + 1, 1)
+        cold = [_cold(rho, first) for first in firsts]
+        for order in (1, -1):
+            kernel._width.cache_clear()
+            got = [oscillatory_tail_sum(rho, first) for first in firsts[::order]]
+            assert got == cold[::order]
+
+    def test_many_widths_keep_the_memo_bounded(self):
+        kernel._width.cache_clear()
+        for i in range(200):
+            oscillatory_tail_sum(0.01 + 0.03 * i, 1 + i)
+        info = kernel._width.cache_info()
+        assert info.maxsize == 64
+        assert info.currsize <= 64
+
+    def test_two_threads_on_an_empty_memo(self):
+        import sys
+        import threading
+
+        rng = np.random.default_rng(34)
+        widths = rng.uniform(1e-3, TWO_PI - 1e-3, 6)
+        calls = [(float(c), int(first)) for c in widths for first in (1, 40, 200, 255, 256, 5000)]
+        cold = {call: _cold(*call) for call in calls}
+        kernel._width.cache_clear()
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def run(slot, order):
+            start.wait()
+            got[slot] = {call: oscillatory_tail_sum(*call) for call in calls[::order]}
+
+        threads = [threading.Thread(target=run, args=(i, (1, -1)[i])) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the calls, not between them
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [cold, cold]

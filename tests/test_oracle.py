@@ -66,6 +66,21 @@ class TestAnalogDistanceOracle:
         with pytest.raises(DomainError):
             analog_distance_oracle(band, AnalogDelay(20.0), grid_radius=10.0, dt=0.1)
 
+    def test_rejects_a_grid_that_misses_the_cut(self):
+        # (R - T) / dt = 9949.5: the midpoints would end dt/2 short of -T
+        band = BandpassInterval.analog(0.0, 2.0)
+        with pytest.raises(DomainError, match="whole number"):
+            analog_distance_oracle(band, AnalogDelay(0.505), grid_radius=1e2, dt=1e-2)
+        with pytest.raises(DomainError, match="whole number"):
+            analog_distance_oracle(band, AnalogDelay(0.0), grid_radius=1.0, dt=5e-324)
+
+    @pytest.mark.parametrize("T", [0.0, 0.5, 2.0, 10.0])
+    def test_accepts_the_aligned_grids_verify_uses(self, T):
+        # verify's riemann-oracle-agreement (T = 0.5) and criterion 4
+        band = BandpassInterval.analog(0.0, 2.0)
+        res = analog_distance_oracle(band, AnalogDelay(T), grid_radius=1e2, dt=1e-2)
+        assert res.value > 0.0
+
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_rejects_a_radius_that_is_not_finite_and_positive(self, radius):
         # inf once raised OverflowError and nan int()'s ValueError; at 0 the
