@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import TYPE_CHECKING
 
 from .analog import ApproximationReport
@@ -57,6 +56,11 @@ def _coefficient_factors(k, c: float, center: float, sin, exp):
     array, with np.sin and np.exp; both kinds evaluate the same operations
     in the same order, so they agree bit for bit.  The first factor is the
     same at -k and the second is conjugated, since sin is odd.
+
+    Both routes form c_k as two float products, amp Re(phase) and
+    amp Im(phase).  A float x complex multiply adds a zero product to each,
+    and Python and numpy (which may fuse it) round a part that underflows
+    to zeros of different signs.
     """
     return sin(0.5 * k * c) / (math.pi * k), exp(-1j * k * center)
 
@@ -66,11 +70,12 @@ def _coefficients(band: BandpassInterval, ks) -> Iterator[complex]:
     the values best_causal_coefficients builds with numpy."""
     c, center = band.bandwidth, band.center
     c0 = complex(c / TWO_PI)
-    return (
-        operator.mul(*_coefficient_factors(float(k), c, center, math.sin, cmath.exp))
-        if k else c0
-        for k in ks
-    )
+    for k in ks:
+        if not k:
+            yield c0
+            continue
+        amp, phase = _coefficient_factors(float(k), c, center, math.sin, cmath.exp)
+        yield complex(amp * phase.real, amp * phase.imag)
 
 
 def _bracket(band: BandpassInterval, N: int) -> float:
@@ -158,8 +163,11 @@ def best_causal_coefficients(
     k = np.arange(1, window + 1, dtype=np.float64)
     amp, phase = _coefficient_factors(k, band.bandwidth, band.center, np.sin, np.exp)
     values = np.empty(N + 1 + window, dtype=np.complex128)  # h[n] = c_k at k = -n
-    values[:N] = np.multiply(amp[:N], phase[:N])[::-1]  # c_N, ..., c_1
+    causal = values[N + 1:]  # c_1, ..., c_window until conjugated below
+    np.multiply(amp, phase.real, out=causal.real)
+    np.multiply(amp, phase.imag, out=causal.imag)
+    values[:N] = causal[:N][::-1]  # c_N, ..., c_1
     values[N] = band.bandwidth / TWO_PI  # c_0, at n = 0
-    np.multiply(amp, np.conjugate(phase, out=phase), out=values[N + 1:])  # c_{-k}
+    np.negative(causal.imag, out=causal.imag)  # c_{-k} = conj(c_k)
     return DigitalSequence._own(-N, values)
 

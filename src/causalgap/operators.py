@@ -14,7 +14,7 @@ import bisect
 
 from ._frozen import Frozen
 from .errors import ZeroKernel
-from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
+from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal, _finite
 
 __all__ = [
     "NormEstimate",
@@ -30,8 +30,10 @@ def convolve_digital(h: DigitalSequence, f: DigitalSequence) -> DigitalSequence:
     """Full convolution of two finitely supported sequences; offsets add."""
     import numpy as np
 
-    vals = np.convolve(h.values, f.values)
-    return DigitalSequence(h.offset + f.offset, vals)
+    # the result is fresh, so it is held without a copy, but a product of
+    # finite taps can still overflow to inf
+    vals = _finite(np.convolve(h.values, f.values))
+    return DigitalSequence._own(h.offset + f.offset, vals)
 
 
 def matched_input(h: DigitalSequence) -> DigitalSequence:
@@ -45,7 +47,8 @@ def _matched(h: DigitalSequence, norm: float) -> DigitalSequence:
 
     if norm == 0.0:
         raise ZeroKernel("matched input of the zero kernel is undefined")
-    vals = np.conj(h.values[::-1]) / norm
+    vals = np.conj(h.values[::-1])
+    vals /= norm
     return DigitalSequence._own(-(h.offset + len(h.values) - 1), vals)
 
 

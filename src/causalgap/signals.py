@@ -45,9 +45,16 @@ def _as_complex_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
+    return _read_only(_finite(arr).copy())
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr itself; ValueError unless every value in it is finite."""
+    import numpy as np
+
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
-    return _read_only(arr.copy())
+    return arr
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -3,7 +3,11 @@
 Each check returns a CheckResult instead of raising, so the CLI can print a
 full pass/fail table.  Randomized checks derive every draw from the given
 seed; two runs with the same seed produce identical results, including the
-detail strings.  Each array check compares energies, adds back the mean of
+detail strings.  Each such check draws from its own random.Random, seeded
+with seed * 1000 + a stream number below 1000, so the draws are the same on
+every platform and numpy version and verify needs only numpy's core: a
+kernel's taps are bytes of that stream, mapped to doubles by numpy's
+integer ops.  Each array check compares energies, adds back the mean of
 the kernel tail its grid misses (the oracles add it themselves), and allows
 the proven rest, its rule's error and _ROUNDING.
 """
@@ -11,6 +15,7 @@ the proven rest, its rule's error and _ROUNDING.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -74,16 +79,21 @@ def _rule_error(c: float, a: float, b: float, dt: float, k: int) -> float:
     return dt**2 / k * (abs(df(a)) + abs(df(b))) + dt**4 / 384 * d4
 
 
+def _rng(seed: int, stream: int) -> random.Random:
+    """The generator of one check's draws: stream < 1000 numbers the check."""
+    return random.Random(seed * 1000 + stream)
+
+
 # ---------------------------------------------------------------- analog
 
 
 def _random_analog_bands(seed: int, n: int) -> list[BandpassInterval]:
-    rng = np.random.default_rng([seed, 101])
+    rng = _rng(seed, 101)
     bands = []
     while len(bands) < n:
-        a, b = np.sort(rng.uniform(-50.0, 50.0, 2))
+        a, b = sorted((rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)))
         if b - a > 1e-3:
-            bands.append(BandpassInterval.analog(float(a), float(b)))
+            bands.append(BandpassInterval.analog(a, b))
     return bands
 
 
@@ -114,8 +124,31 @@ def _chk_delay_zero(seed: int) -> CheckResult:
     return _result("analog", "delay-zero-matches-causal", worst, 1e-12)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] for even n, as (nodes, weights).
+
+    Newton's method on P_n from Tricomi's guesses cos(pi (i + 3/4) / (n + 1/2))
+    finds the positive nodes, with P_n and P_n' from the three-term
+    recurrence; each weight is 2 / ((1 - x^2) P_n'^2), P_n' taken at the last
+    step.  The negative half mirrors the positive one, so the rule is exactly
+    symmetric.
+    """
+    x = np.cos(math.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    for _ in range(10):  # quadratic convergence: 4 steps reach rounding
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 #: the 64-point Gauss-Legendre rule on [-1, 1], as (nodes, weights)
-_GAUSS_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
+_GAUSS_LEGENDRE_64 = _gauss_legendre(64)
 
 
 def _chk_quad_vs_si(seed: int) -> CheckResult:
@@ -135,10 +168,10 @@ def _chk_quad_vs_si(seed: int) -> CheckResult:
 
 
 def _chk_distance_monotone(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 102])
+    rng = _rng(seed, 102)
     band = _random_analog_bands(seed, 1)[0]
-    ladder = np.sort(rng.uniform(0.0, 100.0, 8))
-    dist = [analog.delayed_distance_si(band, AnalogDelay(float(T))) for T in ladder]
+    ladder = sorted(rng.uniform(0.0, 100.0) for _ in range(8))
+    dist = [analog.delayed_distance_si(band, AnalogDelay(T)) for T in ladder]
     worst = max(
         (dist[i + 1] - dist[i] for i in range(len(dist) - 1)), default=0.0
     )
@@ -280,14 +313,17 @@ def _chk_tail_sum_route(seed: int) -> CheckResult:
 # -------------------------------------------------------------- operators
 
 
-def _random_kernel(rng: np.random.Generator) -> DigitalSequence:
-    n = int(rng.integers(1, 257))
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return DigitalSequence(int(rng.integers(-64, 65)), vals)
+def _random_kernel(rng: random.Random) -> DigitalSequence:
+    """1 to 256 taps at an offset in [-64, 64]; each part of each tap is a
+    multiple of 2**-52 in [-1, 1), from the top 53 bits of 8 of rng's bytes."""
+    n = rng.randrange(1, 257)
+    vals = (np.frombuffer(rng.randbytes(16 * n), dtype="<u8") >> 11) * 2.0**-52
+    vals -= 1.0
+    return DigitalSequence._own(rng.randrange(-64, 65), vals.view(np.complex128))
 
 
 def _chk_matched_filter(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 301])
+    rng = _rng(seed, 301)
     worst = 0.0
     for _ in range(50):
         h = _random_kernel(rng)
@@ -298,12 +334,12 @@ def _chk_matched_filter(seed: int) -> CheckResult:
 
 
 def _chk_time_invariance(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 302])
+    rng = _rng(seed, 302)
     ok = True
     for _ in range(20):
         x = _random_kernel(rng)
         h = _random_kernel(rng)
-        m = int(rng.integers(-20, 21))
+        m = rng.randrange(-20, 21)
         lhs = operators.convolve_digital(x.shifted(m), h)
         rhs = operators.convolve_digital(x, h).shifted(m)
         ok = ok and lhs.offset == rhs.offset and np.array_equal(lhs.values, rhs.values)
@@ -313,11 +349,11 @@ def _chk_time_invariance(seed: int) -> CheckResult:
 
 
 def _chk_truncation_residual(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 303])
+    rng = _rng(seed, 303)
     ok = True
     for _ in range(20):
         h = _random_kernel(rng)
-        N = int(rng.integers(0, 8))
+        N = rng.randrange(0, 8)
         kept = operators.truncate_to_delay(h, DigitalDelay(N))
         dropped = h.indices() < -N
         ok = ok and np.all(kept.values[dropped] == 0.0)
@@ -393,7 +429,8 @@ SUITES: dict[str, tuple] = {
 def run_checks(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one suite ("analog", "digital", "operators") or "all".
 
-    The seed must be nonnegative, as numpy's generators require.
+    The seed must be nonnegative, so that seed * 1000 + stream gives every
+    seed and check a stream of its own.
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")

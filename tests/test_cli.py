@@ -1015,6 +1015,24 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_verify_loads_only_numpy_core(self):
+        # numpy's own import loads numpy.linalg (numpy.matrixlib imports
+        # it), so verify may add no numpy module beyond those
+        script = (
+            "import contextlib, io, sys\n"
+            "import numpy\n"
+            "core = {m for m in sys.modules if m.startswith('numpy')}\n"
+            "from causalgap import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--suite', 'all', '--seed', '0']) == 0\n"
+            "added = {m for m in sys.modules if m.startswith('numpy')} - core\n"
+            "assert not added, sorted(added)\n"
+            "for name in ('numpy.random', 'numpy.polynomial', 'numpy.fft'):\n"
+            "    assert name not in sys.modules, name\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_import_binds_every_submodule(self):
         # the package is eager: callers read causalgap.kernel and the rest
         # right after import, and no module __getattr__ defers any of them

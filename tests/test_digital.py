@@ -151,6 +151,7 @@ class TestScalarCoefficients:
             (1e-12, TWO_PI - 1e-12),
             (5e-324, math.nextafter(TWO_PI, 0.0)),  # c one ulp below 2 pi
             (0.5 * math.pi, 1.5 * math.pi),
+            (1e-300, 2e-300),  # amp Im(phase) underflows: the sign of zero
         ]
         return [BandpassInterval.digital(a, b) for a, b in edges]
 

@@ -172,6 +172,33 @@ def test_no_blas_reductions(name):
     assert not found, f"{name} sums through BLAS: {found}"
 
 
+#: numpy submodules beyond its core: verify's draws and rule need none of them
+_NUMPY_EXTRAS = {"random", "polynomial", "linalg", "fft"}
+
+
+def _numpy_extra(dotted: str) -> bool:
+    head, _, rest = dotted.partition(".")
+    return head in ("np", "numpy") and rest.partition(".")[0] in _NUMPY_EXTRAS
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_numpy_core_only(name):
+    # numpy.random and numpy.polynomial add a fifth to verify's resident
+    # memory, and numpy.linalg and numpy.fft are not needed either
+    found = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if _numpy_extra(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+            found += [
+                f"{node.module}.{a.name}" for a in node.names
+                if _numpy_extra(f"{node.module}.{a.name}")
+            ]
+        elif isinstance(node, ast.Attribute) and _numpy_extra(_dotted(node)):
+            found.append(_dotted(node))
+    assert not found, f"{name} uses numpy beyond its core: {found}"
+
+
 #: modules for running work on other threads
 _THREAD_MODULES = {"threading", "concurrent.futures", "contextvars"}
 

@@ -59,6 +59,17 @@ class TestConvolveDigital:
             assert a.offset == b.offset
             assert np.array_equal(a.values, b.values)
 
+    def test_overflowing_product_is_refused(self):
+        # finite taps whose product overflows to inf
+        with pytest.raises(ValueError, match="values must be finite"):
+            convolve_digital(_seq(0, [1e200, 1e200]), _seq(0, [1e200]))
+
+    def test_result_is_read_only(self):
+        out = convolve_digital(_seq(0, [1.0, 2.0]), _seq(0, [3.0]))
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0] = 0.0
+
 
 class TestMatchedInput:
     def test_is_normalized_reflected_conjugate(self):
@@ -123,6 +134,18 @@ class TestOperatorNormEstimate:
     def test_rejects_zero_kernel(self):
         with pytest.raises(ZeroKernel):
             operator_norm_estimate(_seq(0, [0.0]))
+
+    def test_matches_the_copying_form_bit_for_bit(self):
+        # the literal form: the matched input divided out of place, the
+        # peak of the full product (both bounds are positive, so == is bitwise)
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            n = int(rng.integers(1, 257))
+            h = _seq(int(rng.integers(-64, 65)), rng.normal(size=n) + 1j * rng.normal(size=n))
+            norm = h.norm()
+            product = np.convolve(h.values, np.conj(h.values[::-1]) / norm)
+            est = operator_norm_estimate(h)
+            assert (est.lower, est.upper) == (float(np.abs(product).max()), norm)
 
 
 #: finite values whose bits a copy must keep: signed zeros and subnormals

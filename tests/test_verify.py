@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from causalgap import ApproximationReport, DomainError, analog, digital, verify
@@ -45,6 +46,27 @@ def test_unknown_suite_rejected():
 def test_seed_changes_probes_not_verdicts():
     for seed in (0, 1, 12345):
         assert all(r.passed for r in run_checks("operators", seed=seed))
+
+
+class TestGaussLegendre64:
+    """verify's Newton-built rule against numpy's eigenvalue-built one."""
+
+    nodes, weights = verify._GAUSS_LEGENDRE_64
+
+    def test_matches_numpy_leggauss(self):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(64)
+        assert np.abs(self.nodes - want_nodes).max() <= 1e-14
+        assert np.abs(self.weights - want_weights).max() <= 1e-14
+
+    def test_is_symmetric(self):
+        assert np.array_equal(self.nodes, -self.nodes[::-1])
+        assert np.array_equal(self.weights, self.weights[::-1])
+
+    def test_integrates_even_powers_to_rounding(self):
+        # exact for degree <= 127; x^(2j) integrates to 2 / (2j + 1)
+        for j in range(64):
+            rule = math.fsum(self.weights * self.nodes ** (2 * j))
+            assert abs(rule - 2.0 / (2 * j + 1)) <= 1e-15, j
 
 
 #: one block's scratch: three float rows and a bool row of _BLOCK points,
