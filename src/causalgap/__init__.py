@@ -23,7 +23,6 @@ from .errors import (
 from .kernel import BandpassInterval
 from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal
 from .analog import (
-    AnalogImpulseResponse,
     ApproximationReport,
     causal_report,
     delayed_distance_si,
@@ -38,7 +37,6 @@ from .digital import (
 from .operators import (
     NormEstimate,
     convolve_digital,
-    matched_input,
     operator_norm_estimate,
     truncate_to_delay,
     truncate_to_delay_analog,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalogDelay",
-    "AnalogImpulseResponse",
     "ApproximationReport",
     "BandpassInterval",
     "DigitalDelay",
@@ -78,7 +75,6 @@ __all__ = [
     "digital_distance_oracle",
     "impulse_response",
     "limit_probe",
-    "matched_input",
     "operator_norm_estimate",
     "truncate_to_delay",
     "truncate_to_delay_analog",

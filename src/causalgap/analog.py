@@ -28,7 +28,6 @@ SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 __all__ = [
     "ApproximationReport",
-    "AnalogImpulseResponse",
     "impulse_response",
     "causal_report",
     "delayed_report",
@@ -154,42 +153,31 @@ def _fill_range(band: BandpassInterval, times, n: int,
     return sums
 
 
-class AnalogImpulseResponse(Frozen):
-    """Callable wrapper around impulse_response for one fixed band."""
+def _sample(band: BandpassInterval, t0: float, dt: float, n: int) -> SampledSignal:
+    """h at t0 + dt * j for j = 0 .. n-1: the analog impulse grid.
 
-    __slots__ = ("band",)
+    Bit for bit impulse_response(band, t0 + dt * np.arange(n)), but the grid
+    is formed one block at a time, never in full.  ValueError before any
+    work unless the band is analog, n >= 1, and c t and the band center
+    times t stay finite on the grid, which keeps every value of h finite.
+    """
+    import numpy as np
 
-    def __init__(self, band: BandpassInterval) -> None:
-        _require_analog(band)
-        object.__setattr__(self, "band", band)
+    _require_analog(band)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    # the times are monotone in j, so the widest |t| is at an end
+    reach = max(abs(t0), abs(t0 + dt * (n - 1)))
+    if not (math.isfinite(band.bandwidth * reach) and math.isfinite(band.center * reach)):
+        raise ValueError("c * t and the band center * t must stay finite on the grid")
 
-    def __call__(self, t):
-        return impulse_response(self.band, t)
+    def times(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        t = np.multiply(np.arange(lo, hi, dtype=np.float64), dt, out=buf[: hi - lo])
+        return np.add(t, t0, out=t)
 
-    def sample(self, t0: float, dt: float, n: int) -> SampledSignal:
-        """h at t0 + dt * j for j = 0 .. n-1, the grid SampledSignal.times() gives.
-
-        The grid is formed one block at a time, never in full.  ValueError
-        before any work unless n >= 1 and c t and the band center times t
-        stay finite on the grid, which keeps every value of h finite.
-        """
-        import numpy as np
-
-        if n < 1:
-            raise ValueError("need at least one sample")
-        # the times are monotone in j, so the widest |t| is at an end
-        reach = max(abs(t0), abs(t0 + dt * (n - 1)))
-        if not (math.isfinite(self.band.bandwidth * reach)
-                and math.isfinite(self.band.center * reach)):
-            raise ValueError("c * t and the band center * t must stay finite on the grid")
-
-        def times(lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-            t = np.multiply(np.arange(lo, hi, dtype=np.float64), dt, out=buf[: hi - lo])
-            return np.add(t, t0, out=t)
-
-        out = np.empty(n, dtype=np.complex128)
-        _fill_range(self.band, times, n, out)
-        return SampledSignal._own(t0, dt, out)
+    out = np.empty(n, dtype=np.complex128)
+    _fill_range(band, times, n, out)
+    return SampledSignal._own(t0, dt, out)
 
 
 def _require_analog(band: BandpassInterval) -> None:

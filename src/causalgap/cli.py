@@ -266,13 +266,13 @@ def cmd_impulse(args) -> int:
         if not steps < _MAX_ROWS:
             raise _Fail(f"2 * t-max / dt must stay below {_MAX_ROWS}")
         n = int(round(steps)) + 1
-        sig = _valid(analog.AnalogImpulseResponse(band).sample, -args.t_max, args.dt, n)
+        sig = _valid(analog._sample, band, -args.t_max, args.dt, n)
         # the samples before -T print as the zeros truncate_to_delay_analog
         # writes there, without a truncated copy of the rest
         cut = 0 if delay is None else _analog_cut(sig, delay)
         kept = map(complex, sig.values[cut:])  # Python complex formats faster than numpy's
         values = itertools.chain(itertools.repeat(0j, cut), kept)
-        times = (sig.t0 + sig.dt * j for j in range(len(sig)))  # sig.times() bit for bit, unbuilt
+        times = (sig.t0 + sig.dt * j for j in range(len(sig)))  # the grid's own times, unbuilt
         table = _csv("index_or_time,re,im", map(_num, times), values)
     else:
         if args.window is None or not 1 <= args.window < _MAX_ROWS // 2:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .analog import ApproximationReport
 from .errors import DomainError
-from .kernel import TWO_PI, BandpassInterval, _fold_bandwidth, oscillatory_tail_sum
+from .kernel import TWO_PI, BandpassInterval, _fold, oscillatory_tail_sum
 from .signals import DigitalDelay, DigitalSequence
 
 if TYPE_CHECKING:
@@ -97,7 +97,8 @@ def _bracket(band: BandpassInterval, N: int) -> float:
         return oscillatory_tail_sum(c, N + 1) / (math.pi * c)
     if c <= math.pi:
         return 0.5 - c / (4.0 * math.pi)
-    return _fold_bandwidth(c) / (4.0 * math.pi)
+    hi, lo = _fold(c)
+    return (hi + lo) / (4.0 * math.pi)
 
 
 def _report_from_bracket(

@@ -172,28 +172,34 @@ _SIGNED_INV_FACTORIAL = tuple(
 
 
 class _Width:
-    """What oscillatory_tail_sum has computed for one width rho, grown on demand.
+    """What oscillatory_tail_sum has computed for one width hi + lo, grown on demand.
 
-    head holds the terms 2 sin^2(k rho / 2) / k^2 for k = lo..255 and then
-    the series tail from 256, so lo = 257 - len(head); it is empty until a
-    call with first < 256.  lerch is None or (ratio, (b_0, ..., b_M)), the
-    Lerch expansion's coefficients.  Each field is an immutable value that
-    is only ever replaced whole, so threads that share an entry may repeat
-    work but always read a consistent one.
+    rho is hi + lo rounded.  half is rho / 2 in three parts: Veltkamp's
+    split of hi / 2 into two of 26 bits each, whose products with any
+    k < 256 are exact, and lo / 2.  head holds the terms
+    2 sin^2(k rho / 2) / k^2 from k = 257 - len(head) to 255 and then the
+    series tail from 256; it is empty until a call with first < 256.
+    lerch is None or (ratio, (b_0, ..., b_M)), the Lerch expansion's
+    coefficients.  Each field is an immutable value that is only ever
+    replaced whole, so threads that share an entry may repeat work but
+    always read a consistent one.
     """
 
-    __slots__ = ("rho", "head", "lerch")
+    __slots__ = ("rho", "half", "head", "lerch")
 
-    def __init__(self, rho: float) -> None:
-        self.rho = rho
+    def __init__(self, hi: float, lo: float) -> None:
+        self.rho = hi + lo
+        h = 0.5 * hi
+        top = (p := 134217729.0 * h) - (p - h)  # 2^27 + 1 leaves top 26 bits
+        self.half = (top, h - top, 0.5 * lo)
         self.head = ()
         self.lerch = None
 
 
 @functools.lru_cache(maxsize=64)
-def _width(rho: float) -> _Width:
-    """The memo entry of width rho; the 64 widths used last are kept."""
-    return _Width(rho)
+def _width(hi: float, lo: float) -> _Width:
+    """The memo entry of width hi + lo; the 64 widths used last are kept."""
+    return _Width(hi, lo)
 
 
 def _trigamma(a: float) -> float:
@@ -287,13 +293,15 @@ def _euler_maclaurin_tail(rho: float, a: float) -> float:
     return math.fsum(parts)
 
 
-def _fold_bandwidth(c: float) -> float:
-    """rho = min(c, 2 pi - c), the width that 1 - cos(k c) sees for integer k.
+def _fold(c: float) -> tuple[float, float]:
+    """(hi, lo) with hi + lo = min(c, 2 pi - c), the width that 1 - cos(k c)
+    sees for integer k, to twice double precision.
 
-    2 pi - c is taken against a two-part 2 pi, so rho keeps full relative
-    precision as c approaches 2 pi.
+    2 pi - c is taken against a two-part 2 pi: hi = TWO_PI - c is exact, and
+    the rounded sum hi + lo keeps full relative precision as c approaches
+    2 pi.
     """
-    return c if c <= math.pi else (TWO_PI - c) + _TWO_PI_LO
+    return (c, 0.0) if c <= math.pi else (TWO_PI - c, _TWO_PI_LO)
 
 
 def _series_tail(width: _Width, a: float) -> float:
@@ -307,8 +315,9 @@ def oscillatory_tail_sum(c: float, first: int) -> float:
     """sum over k >= first of (1 - cos(k c)) / k^2, at a cost independent of first.
 
     c must lie in (0, 2 pi) and first in [1, 2^53], beyond which the index
-    is no longer exact in double precision.  Only rho = _fold_bandwidth(c)
-    enters.  From a = max(first, 256) on the sum is
+    is no longer exact in double precision.  Only the width
+    rho = min(c, 2 pi - c) enters, as _fold's pair and rounded.  From
+    a = max(first, 256) on the sum is
     psi'(a) - Re[e^{i a rho} Phi(e^{i rho}, 2, a)] (DLMF 25.14), psi' from
     its asymptotic series and Phi from its large-a expansion.  Below
     a * rho = 60 that expansion needs too many terms, and Euler-Maclaurin
@@ -316,12 +325,14 @@ def oscillatory_tail_sum(c: float, first: int) -> float:
     error of a few ulps of a * rho moves the sum by a few ulps, since the
     oscillating part is only 1/(a rho) of it.  A first below 256 adds the
     head terms 2 sin^2(k rho / 2) / k^2, first <= k < 256, in one exact
-    sum; all of them are nonnegative, so nothing cancels.
+    sum; all of them are nonnegative, so nothing cancels.  Each head phase
+    x + e = k rho / 2 comes from _Width.half by Fast2Sum, to twice double
+    precision, and sin(x + e) is taken as sin x + e cos x.
 
-    What depends on rho alone is kept for the 64 widths used last: the head
-    terms with the tail from 256, and the Lerch coefficients b_m.  The first
-    call on a width computes what it needs, as many as 255 sines, and
-    stores it; a repeated call computes only what no earlier call on that
+    What depends on the width alone is kept for the 64 widths used last:
+    the head terms with the tail from 256, and the Lerch coefficients b_m.
+    The first call on a width computes what it needs, as many as 255 sines
+    and cosines, and stores it; a repeated call computes only what no earlier call on that
     width did, so below 256 it costs one exact sum of at most 256 stored
     terms, and from 256 on O(M) for the M expansion terms it reads.
     math.fsum is correctly rounded, so a value does not depend on which
@@ -331,17 +342,20 @@ def oscillatory_tail_sum(c: float, first: int) -> float:
         raise ValueError("bandwidth c must lie in (0, 2*pi)")
     if not 1 <= first <= 2**53:
         raise ValueError("first index must lie in [1, 2**53]")
-    width = _width(_fold_bandwidth(c))
+    width = _width(*_fold(c))
     if first >= _SERIES_MIN_INDEX:
         return _series_tail(width, float(first))
     head = width.head
     lo = _SERIES_MIN_INDEX + 1 - len(head)
     if first < lo:
-        h, sin = 0.5 * width.rho, math.sin
-        terms = [
-            2.0 * (s := sin(h * k)) * s / (k * k)
-            for k in map(float, range(first, min(lo, _SERIES_MIN_INDEX)))
-        ]
+        top, mid, low = width.half
+        sin, cos = math.sin, math.cos
+        terms = []
+        for k in map(float, range(first, min(lo, _SERIES_MIN_INDEX))):
+            x = (a := k * top) + (b := k * mid)  # a and b are exact
+            # Fast2Sum's error of x, plus the fold's low part, is e
+            s = sin(x) + ((b - (x - a)) + k * low) * cos(x)
+            terms.append(2.0 * s * s / (k * k))
         terms += head or (_series_tail(width, float(_SERIES_MIN_INDEX)),)
         head = width.head = tuple(terms)
         lo = first

@@ -19,7 +19,6 @@ from .signals import AnalogDelay, DigitalDelay, DigitalSequence, SampledSignal, 
 __all__ = [
     "NormEstimate",
     "convolve_digital",
-    "matched_input",
     "operator_norm_estimate",
     "truncate_to_delay",
     "truncate_to_delay_analog",
@@ -36,13 +35,9 @@ def convolve_digital(h: DigitalSequence, f: DigitalSequence) -> DigitalSequence:
     return DigitalSequence._own(h.offset + f.offset, vals)
 
 
-def matched_input(h: DigitalSequence) -> DigitalSequence:
-    """Unit-norm input maximizing |(h * f)[0]|: reversed conjugate of h."""
-    return _matched(h, h.norm())
-
-
 def _matched(h: DigitalSequence, norm: float) -> DigitalSequence:
-    """matched_input(h), given norm = ||h||."""
+    """Unit-norm input maximizing |(h * f)[0]|: the reversed conjugate of h
+    over norm = ||h||."""
     import numpy as np
 
     if norm == 0.0:

@@ -103,17 +103,9 @@ class SampledSignal(Frozen):
     def __len__(self) -> int:
         return len(self.values)
 
-    def times(self) -> np.ndarray:
-        import numpy as np
-
-        return self.t0 + self.dt * np.arange(len(self.values))
-
     def energy(self) -> float:
         """dt-weighted squared l2 norm, the Riemann proxy for the L2 energy."""
         return self.dt * _sum_of_squares(self.values)
-
-    def norm(self) -> float:
-        return math.sqrt(self.energy())
 
 
 class DigitalSequence(Frozen):

@@ -385,7 +385,7 @@ def _chk_sampled_analog_truncation(seed: int) -> CheckResult:
     # trapezoid rule on [-R, t_cut], and the energy beyond -R is added back
     band = BandpassInterval.analog(0.0, 2.0)
     c, T, radius, dt = band.bandwidth, 0.5, 1e2, 1e-2
-    h = analog.AnalogImpulseResponse(band).sample(-radius, dt, int(round(2 * radius / dt)) + 1)
+    h = analog._sample(band, -radius, dt, int(round(2 * radius / dt)) + 1)
     kept = operators.truncate_to_delay_analog(h, AnalogDelay(T))
     cut = operators._analog_cut(h, AnalogDelay(T))
     ends = 0.5 * dt * (abs(h.values[cut]) ** 2 - abs(h.values[0]) ** 2)

@@ -11,7 +11,7 @@ Analog: d^2 = c/2 - (c Si(cT) - 2 sin^2(cT/2) / T) / pi (DLMF 6.2), with
 the working precision raised by the digits that form loses to cancellation.
 Digital: d^2 = (zeta(2, N+1) - Re[e^{i(N+1)c} Phi(e^{ic}, 2, N+1)]) / (2 pi^2)
 (DLMF 25.11, 25.14), or, for many N at once, the whole sum c(2 pi - c)/4
-(Parseval) minus the running partial sum.
+(Parseval) minus the running partial sum, which also gives the tails.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def digital_distance(c: float, N: int) -> mpmath.mpf:
         return mpmath.sqrt(digital_tail(c, N) / (2 * mpmath.pi**2))
 
 
-def digital_distances_upto(c: float, n_max: int) -> list[mpmath.mpf]:
-    """digital_distance(c, N) for N = 0, 1, ..., n_max, at one term per N.
+def digital_tails_upto(c: float, n_max: int) -> list[mpmath.mpf]:
+    """digital_tail(c, N) for N = 0, 1, ..., n_max, at one term per N.
 
     The tail is c (2 pi - c) / 4 minus sum_{k <= N} (1 - cos kc) / k^2; the
     subtraction cancels at most log10 of 1/tail digits of the 40.
@@ -73,12 +73,18 @@ def digital_distances_upto(c: float, n_max: int) -> list[mpmath.mpf]:
     with mpmath.workdps(DPS):
         c = mpmath.mpf(c)
         tail = c * (2 * mpmath.pi - c) / 4
-        scale = 2 * mpmath.pi**2
-        out = [mpmath.sqrt(tail / scale)]
+        out = [tail]
         for k in range(1, n_max + 1):
             tail -= (1 - mpmath.cos(k * c)) / k**2
-            out.append(mpmath.sqrt(tail / scale))
+            out.append(tail)
         return out
+
+
+def digital_distances_upto(c: float, n_max: int) -> list[mpmath.mpf]:
+    """digital_distance(c, N) for N = 0, 1, ..., n_max, from digital_tails_upto."""
+    with mpmath.workdps(DPS):
+        scale = 2 * mpmath.pi**2
+        return [mpmath.sqrt(tail / scale) for tail in digital_tails_upto(c, n_max)]
 
 
 def rel_err(value: float, ref: mpmath.mpf) -> float:

@@ -14,7 +14,6 @@ import mpref
 
 from causalgap import (
     AnalogDelay,
-    AnalogImpulseResponse,
     ApproximationReport,
     BandpassInterval,
     causal_report,
@@ -68,13 +67,18 @@ class TestImpulseResponse:
         for i, ti in enumerate(t):
             assert arr[i] == impulse_response(band, float(ti))
 
-    def test_callable_wrapper_and_sampling(self):
-        band = BandpassInterval.analog(0.0, 2.0)
-        h = AnalogImpulseResponse(band)
-        assert h(0.25) == impulse_response(band, 0.25)
-        sig = h.sample(-1.0, 0.5, 5)
-        assert sig.t0 == -1.0 and sig.dt == 0.5 and len(sig) == 5
-        assert np.allclose(sig.values, impulse_response(band, sig.times()))
+    @pytest.mark.parametrize("a, b, t0, dt, n", [
+        (0.0, 2.0, -1.0, 0.5, 5),
+        (-3.0, -0.5, -3.7, 0.1, 75),
+        (1.0, 4.0, 0.0, 1e-3, 3 * 2**14 + 1),  # three full blocks and one point
+        (0.0, 2.0, -1e3, 1e-3, 2_000_001),
+    ])
+    def test_grid_is_impulse_response_at_its_times(self, a, b, t0, dt, n):
+        band = BandpassInterval.analog(a, b)
+        sig = analog_module._sample(band, t0, dt, n)
+        assert sig.t0 == t0 and sig.dt == dt and len(sig) == n
+        want = impulse_response(band, t0 + dt * np.arange(n))
+        assert np.array_equal(sig.values.view(np.int64), want.view(np.int64))
 
     def test_rejects_digital_band(self):
         band = BandpassInterval.digital(1.0, 2.0)
@@ -135,8 +139,8 @@ class TestBlockwiseImpulseResponse:
 
     def test_sampled_grid_matches_the_literal_form(self):
         band = BandpassInterval.analog(0.0, 2.0)
-        sig = AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2_000_001)
-        assert np.array_equal(sig.times(), _WIDE_GRID)
+        sig = analog_module._sample(band, -1e3, 1e-3, 2_000_001)
+        assert np.array_equal(sig.t0 + sig.dt * np.arange(len(sig)), _WIDE_GRID)
         assert _same_bits(sig.values, _literal_response(band, _WIDE_GRID))
 
     def test_worker_count_changes_no_bit(self, on_one_and_all_cpus):
@@ -145,11 +149,11 @@ class TestBlockwiseImpulseResponse:
         script = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from causalgap import AnalogImpulseResponse, BandpassInterval, impulse_response\n"
+            "from causalgap import BandpassInterval, analog, impulse_response\n"
             "band = BandpassInterval.analog(1.0, 4.0)\n"
             "t = -1e3 + 1e-3 * np.arange(300_001)\n"
             "for h in (impulse_response(band, t),\n"
-            "          AnalogImpulseResponse(band).sample(-150.0, 1e-3, 300_001).values):\n"
+            "          analog._sample(band, -150.0, 1e-3, 300_001).values):\n"
             "    print(hashlib.sha256(h.tobytes()).hexdigest())\n"
         )
         want = "".join(
@@ -415,6 +419,6 @@ class TestSampledEnergyConsistency:
         radius = 1e4 / band.bandwidth
         dt = 1e-2
         n = int(round(2.0 * radius / dt)) + 1
-        sig = AnalogImpulseResponse(band).sample(-radius, dt, n)
+        sig = analog_module._sample(band, -radius, dt, n)
         norm = causal_report(band).kernel_norm
         assert abs(sig.energy() - norm * norm) <= 1e-2

@@ -19,10 +19,10 @@ import mpref
 
 from causalgap import (
     AnalogDelay,
-    AnalogImpulseResponse,
     BandpassInterval,
     DigitalDelay,
     best_causal_coefficients,
+    analog,
     cli,
     delayed_report,
     delayed_report_digital,
@@ -284,8 +284,9 @@ class TestCsvOutputs:
         code, out, _ = run_main(capsys, *argv)
         assert code == 0
         times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
-        sig = AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-3.7, 0.1, 75)
-        assert np.array_equal(np.array(times).view(np.int64), sig.times().view(np.int64))
+        sig = analog._sample(BandpassInterval.analog(0.0, 2.0), -3.7, 0.1, 75)
+        grid = sig.t0 + sig.dt * np.arange(len(sig))
+        assert np.array_equal(np.array(times).view(np.int64), grid.view(np.int64))
 
     # the grid is -2 + 0.25 j: -T = -1 is its fifth point, whose sample survives;
     # -0.6 falls between points; -5 lies before the first, so nothing is cut
@@ -293,10 +294,10 @@ class TestCsvOutputs:
     def test_impulse_analog_is_the_truncated_sample(self, capsys, T):
         # the CLI prints zeros before -T and the samples from the cut on;
         # the library's sample and truncation give the same text byte for byte
-        sig = AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-2.0, 0.25, 17)
+        sig = analog._sample(BandpassInterval.analog(0.0, 2.0), -2.0, 0.25, 17)
         kept = truncate_to_delay_analog(sig, AnalogDelay(float(T)))
         rows = [f"{cli._num(t)},{cli._num(v.real)},{cli._num(v.imag)}"
-                for t, v in zip(sig.times(), kept.values)]
+                for t, v in zip(sig.t0 + sig.dt * np.arange(len(sig)), kept.values)]
         code, out, _ = run_main(capsys, "impulse", "--mode", "analog", "--a", "0", "--b", "2",
                                 "--t-max", "2", "--dt", "0.25", "--delay", T)
         assert code == 0
@@ -946,7 +947,7 @@ class TestWithoutNumpy:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "from causalgap import BandpassInterval, analog\n"
-            "analog.AnalogImpulseResponse(BandpassInterval.analog(0.0, 2.0)).sample(-1.0, 1e-5, 200001)\n"
+            "analog._sample(BandpassInterval.analog(0.0, 2.0), -1.0, 1e-5, 200001)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

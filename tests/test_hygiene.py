@@ -4,9 +4,10 @@ Every top-level import is read somewhere in its module, every name a
 module lists in __all__ is defined there (the package's __init__ is the
 one place that gathers names from other modules), and every private
 top-level function, class or constant (a leading underscore, or left out
-of its module's __all__) is read somewhere in the package, and so is every
-public method or property of a top-level class, unless it is on the
-documented allow-list.
+of its module's __all__) is read somewhere in the package.  So is every
+public name in an __all__, and every public method or property of a
+top-level class, read as an attribute, unless it is on its documented
+allow-list.
 """
 
 import ast
@@ -51,40 +52,9 @@ def test_every_import_is_read(name):
     assert not unread, f"{name} imports names it never reads: {unread}"
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_all_lists_only_names_defined_here(name):
-    tree = _tree(name)
-    defined = set()
-    exported = []
-    for node in _top_level(tree):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
-    foreign = [n for n in exported if n not in defined]
-    assert not foreign, f"{name} re-exports names defined elsewhere: {foreign}"
-
-
-@functools.cache
-def _read_anywhere() -> frozenset[str]:
-    """Every name or attribute loaded anywhere in the package sources."""
-    read = set()
-    for name in FILES:
-        for node in ast.walk(_tree(name)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return frozenset(read)
-
-
-@pytest.mark.parametrize("name", FILES)
-def test_every_private_top_level_name_is_read(name):
-    # private: a leading underscore, or left out of the module's __all__
+def _defined_and_exported(name: str) -> tuple[dict[str, int], list[str] | None]:
+    """Each top-level name the module defines, with its line, and the
+    module's __all__, or None if it has none."""
     defined = {}
     exported = None
     for node in _top_level(_tree(name)):
@@ -96,6 +66,61 @@ def test_every_private_top_level_name_is_read(name):
             defined.update((n, node.lineno) for n in names)
             if "__all__" in names:
                 exported = ast.literal_eval(node.value)
+    return defined, exported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_only_names_defined_here(name):
+    defined, exported = _defined_and_exported(name)
+    foreign = [n for n in exported or [] if n not in defined]
+    assert not foreign, f"{name} re-exports names defined elsewhere: {foreign}"
+
+
+@functools.cache
+def _attributes_read() -> frozenset[str]:
+    """Every attribute loaded anywhere in the package sources, as in x.times."""
+    return frozenset(
+        node.attr for name in FILES for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+@functools.cache
+def _read_anywhere() -> frozenset[str]:
+    """Every name or attribute loaded anywhere in the package sources."""
+    return _attributes_read() | {
+        node.id for name in FILES for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+#: public names nothing in src/ reads, each kept on purpose
+_UNREAD_EXPORTS = {
+    "impulse_response": "the paper's kernel h(t) at any points a caller gives",
+    "limit_probe": "the public limit probe, which has no command-line command",
+}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_every_exported_name_is_read(name):
+    # dunder names such as __version__ are for callers, as in the private check
+    unread = [
+        n for n in _defined_and_exported(name)[1] or []
+        if not n.startswith("__") and n not in _read_anywhere() and n not in _UNREAD_EXPORTS
+    ]
+    assert not unread, f"{name} exports names nothing in src/ reads: {unread}"
+
+
+def test_unread_exports_allow_list_is_current():
+    exported = {n for name in FILES for n in _defined_and_exported(name)[1] or []}
+    stale = [n for n in _UNREAD_EXPORTS if n not in exported or n in _read_anywhere()]
+    assert not stale, f"allow-list entries to drop: {stale}"
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_every_private_top_level_name_is_read(name):
+    # private: a leading underscore, or left out of the module's __all__
+    defined, exported = _defined_and_exported(name)
     private = {
         n: line for n, line in defined.items()
         if not n.startswith("__") and (n.startswith("_") or exported is not None and n not in exported)
@@ -124,10 +149,11 @@ def _public_methods(name: str) -> dict[str, int]:
 
 @pytest.mark.parametrize("name", FILES)
 def test_every_public_method_is_read(name):
-    # read by name: an attribute load of that name anywhere in src/ counts
+    # read by name: an attribute load of that name anywhere in src/ counts,
+    # a bare name of the same spelling, such as a local variable, does not
     unread = {
         m: line for m, line in _public_methods(name).items()
-        if m.partition(".")[2] not in _read_anywhere() and m not in _UNREAD_API
+        if m.partition(".")[2] not in _attributes_read() and m not in _UNREAD_API
     }
     assert not unread, f"{name} defines public methods nothing in src/ reads: {unread}"
 
@@ -137,7 +163,7 @@ def test_unread_api_allow_list_is_current():
     methods = {m for name in FILES for m in _public_methods(name)}
     stale = [
         m for m in _UNREAD_API
-        if m not in methods or m.partition(".")[2] in _read_anywhere()
+        if m not in methods or m.partition(".")[2] in _attributes_read()
     ]
     assert not stale, f"allow-list entries to drop: {stale}"
 

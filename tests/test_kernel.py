@@ -221,17 +221,34 @@ class TestOscillatoryTailSum:
             assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
 
     def test_head_matches_array_form_bit_for_bit(self):
-        # the head in the order an array evaluation takes: sin(0.5 rho k)
-        # for float k, then 2 s^2 / k^2, all terms in one exact sum
+        # the head in the order an array evaluation takes: for float k, the
+        # phase k rho / 2 as x + e from Veltkamp's split of hi / 2 and
+        # Fast2Sum, s = sin(x) + e cos(x), then 2 s^2 / k^2, all terms in
+        # one exact sum
         rng = np.random.default_rng(8)
         for c, first in zip(rng.uniform(1e-6, TWO_PI - 1e-6, 40), rng.integers(1, 300, 40)):
             first = int(first)
-            rho = kernel._fold_bandwidth(c)
+            hi, lo = kernel._fold(c)
+            h = 0.5 * hi
+            top = 134217729.0 * h - (134217729.0 * h - h)
             k = np.arange(first, 256, dtype=np.float64)
-            s = np.sin(0.5 * rho * k)
+            a, b = k * top, k * (h - top)
+            x = a + b
+            s = np.sin(x) + ((b - (x - a)) + k * (0.5 * lo)) * np.cos(x)
             tail = oscillatory_tail_sum(c, max(first, 256))
             expected = math.fsum([tail, *(2.0 * s * s / (k * k)).tolist()])
             assert oscillatory_tail_sum(c, first) == expected
+
+    def test_head_phases_keep_the_tail_within_5e_16(self):
+        # each head phase k rho / 2 is carried to twice double precision;
+        # rounded once, it put the tail 3.9e-15 off at the first width
+        # below, N = 112, and 4.3e-15 off at the second, N = 197
+        rng = np.random.default_rng(22)
+        widths = [2.9706975731792493, 2.8337324945405786, *rng.uniform(1.5, TWO_PI - 1.5, 38)]
+        for c in map(float, widths):
+            refs = mpref.digital_tails_upto(c, 255)
+            errs = [mpref.rel_err(oscillatory_tail_sum(c, N + 1), refs[N]) for N in range(20, 256)]
+            assert max(errs) <= 5e-16, (c, 20 + errs.index(max(errs)), max(errs))
 
     def test_against_literal_partial_sum(self):
         # a million literal terms plus the 1/k^2 comparison bound on the rest
@@ -265,16 +282,22 @@ class TestWidthMemo:
             for _ in range(2):
                 assert [oscillatory_tail_sum(c, first) for first in firsts] == cold, c
 
-    def test_a_width_and_its_mirror_share_an_entry(self):
+    def test_a_width_above_pi_keeps_its_fold_in_two_parts(self):
+        # 2 pi - c is exact and keys the entry with 2 pi's low part, so the
+        # rounded fold rho, given as a width of its own, is another entry:
+        # the two widths differ by under half an ulp, and so do the sums
         for c in (4.0, 6.0, TWO_PI - 1e-3):
-            rho = kernel._fold_bandwidth(c)
-            assert rho == pytest.approx(TWO_PI - c, rel=1e-12)
-            cold = _cold(rho, 17)
+            hi, lo = kernel._fold(c)
+            assert (hi, lo) == (TWO_PI - c, kernel._TWO_PI_LO) and hi + c == TWO_PI
+            rho = hi + lo
+            cold = _cold(c, 17)
             kernel._width.cache_clear()
             assert oscillatory_tail_sum(c, 17) == cold
-            assert oscillatory_tail_sum(rho, 17) == cold
+            assert oscillatory_tail_sum(rho, 17) == pytest.approx(cold, rel=1e-15)
+            assert oscillatory_tail_sum(c, 17) == cold
+            assert kernel._width(hi, lo).rho == rho
             info = kernel._width.cache_info()
-            assert (info.currsize, info.hits) == (1, 1)
+            assert (info.currsize, info.hits) == (2, 2)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["large-a-first", "small-a-first"])
     def test_lerch_coefficients_grow_and_are_reused(self, order):

@@ -11,7 +11,6 @@ import pytest
 
 from causalgap import (
     AnalogDelay,
-    AnalogImpulseResponse,
     BandpassInterval,
     DigitalDelay,
     DigitalSequence,
@@ -20,12 +19,12 @@ from causalgap import (
     best_causal_coefficients,
     convolve_digital,
     delayed_report,
-    matched_input,
     operator_norm_estimate,
     truncate_to_delay,
     truncate_to_delay_analog,
 )
-from causalgap.operators import _analog_cut
+from causalgap.analog import _sample
+from causalgap.operators import _analog_cut, _matched
 
 
 def _seq(offset, values):
@@ -74,19 +73,20 @@ class TestConvolveDigital:
 class TestMatchedInput:
     def test_is_normalized_reflected_conjugate(self):
         h = _seq(7, [3.0, 4.0j])
-        m = matched_input(h)
+        m = _matched(h, h.norm())
         assert m.offset == -(7 + 1)
         assert m.norm() == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(m.values, np.array([-0.8j, 0.6]))
 
     def test_peak_output_attains_kernel_norm(self):
         h = _seq(-4, [3.0, 4.0])
-        out = convolve_digital(h, matched_input(h))
+        out = convolve_digital(h, _matched(h, h.norm()))
         assert float(np.max(np.abs(out.values))) == pytest.approx(5.0, rel=1e-14)
 
     def test_rejects_zero_kernel(self):
+        h = _seq(0, [0.0, 0.0])
         with pytest.raises(ZeroKernel):
-            matched_input(_seq(0, [0.0, 0.0]))
+            _matched(h, h.norm())
 
 
 def _random_probes(h, count, seed):
@@ -212,7 +212,8 @@ class TestAnalogCut:
     @pytest.mark.parametrize("t0, dt, n, T", _CUT_GRIDS)
     def test_counts_the_samples_left_of_minus_T(self, t0, dt, n, T):
         sig = SampledSignal(t0, dt, np.zeros(n))
-        assert _analog_cut(sig, AnalogDelay(T)) == np.count_nonzero(sig.times() < -T)
+        t = sig.t0 + sig.dt * np.arange(n)
+        assert _analog_cut(sig, AnalogDelay(T)) == np.count_nonzero(t < -T)
 
 
 class TestTruncateToDelayAnalog:
@@ -220,7 +221,7 @@ class TestTruncateToDelayAnalog:
         sig = SampledSignal(-2.0, 0.5, np.ones(9))  # grid -2.0 .. 2.0
         out = truncate_to_delay_analog(sig, AnalogDelay(1.0))
         assert out.t0 == sig.t0 and out.dt == sig.dt
-        t = out.times()
+        t = out.t0 + out.dt * np.arange(len(out))
         assert np.all(out.values[t < -1.0] == 0.0)
         assert np.all(out.values[t >= -1.0] == 1.0)
 
@@ -229,7 +230,7 @@ class TestTruncateToDelayAnalog:
         sig = SampledSignal(t0, dt, np.arange(1, n + 1, dtype=np.complex128))
         out = truncate_to_delay_analog(sig, AnalogDelay(T))
         want = sig.values.copy()
-        want[sig.times() < -T] = 0.0
+        want[sig.t0 + sig.dt * np.arange(len(sig)) < -T] = 0.0
         assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
 
     def test_kept_run_survives_bit_for_bit(self):
@@ -245,7 +246,7 @@ class TestTruncateToDelayAnalog:
         band = BandpassInterval.analog(0.0, 2.0)
         T, dt, radius = 0.5, 1e-3, 1e3
         n = int(round(2.0 * radius / dt)) + 1
-        sig = AnalogImpulseResponse(band).sample(-radius, dt, n)
+        sig = _sample(band, -radius, dt, n)
         kept = truncate_to_delay_analog(sig, AnalogDelay(T))
         residual = sig.energy() - kept.energy()
         expected = delayed_report(band, AnalogDelay(T)).distance ** 2
@@ -254,7 +255,7 @@ class TestTruncateToDelayAnalog:
     def test_sampled_ideal_band_sits_at_quarter_turn(self):
         # the energy the causal cut drops is half the total: angle pi/4
         band = BandpassInterval.analog(0.0, 2.0)
-        h = AnalogImpulseResponse(band).sample(-100.0, 0.01, 20001)
+        h = _sample(band, -100.0, 0.01, 20001)
         kept = truncate_to_delay_analog(h, AnalogDelay(0.0))
         total = h.energy()
         angle = math.asin(math.sqrt((total - kept.energy()) / total))
@@ -267,7 +268,7 @@ class TestOwnership:
     BAND = BandpassInterval.analog(0.0, 2.0)
 
     def test_sampled_and_truncated_values_are_read_only(self):
-        h = AnalogImpulseResponse(self.BAND).sample(-2.0, 0.5, 9)
+        h = _sample(self.BAND, -2.0, 0.5, 9)
         before = h.values.copy()
         kept = truncate_to_delay_analog(h, AnalogDelay(1.0))
         for sig in (h, kept):
@@ -277,11 +278,10 @@ class TestOwnership:
 
     def test_sampling_and_truncation_make_one_array_each(self):
         n = 300_001
-        sample = AnalogImpulseResponse(self.BAND).sample
-        sample(-150.0, 1e-3, n)  # settles lazy imports
+        _sample(self.BAND, -150.0, 1e-3, n)  # settles lazy imports
         tracemalloc.start()
         try:
-            h = sample(-150.0, 1e-3, n)
+            h = _sample(self.BAND, -150.0, 1e-3, n)
             _, sampled = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             held, _ = tracemalloc.get_traced_memory()
@@ -302,20 +302,20 @@ class TestOwnership:
         code = """if True:
             import os
             import numpy as np
-            from causalgap import (AnalogDelay, AnalogImpulseResponse,
-                                   BandpassInterval, truncate_to_delay_analog)
+            from causalgap import AnalogDelay, BandpassInterval, truncate_to_delay_analog
+            from causalgap.analog import _sample
 
             def resident():
                 with open("/proc/self/statm") as f:
                     return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
             band = BandpassInterval.analog(0.0, 2.0)
-            h = AnalogImpulseResponse(band).sample(-1e3, 1e-3, 2_000_001)
+            h = _sample(band, -1e3, 1e-3, 2_000_001)
             before = resident()
             kept = truncate_to_delay_analog(h, AnalogDelay(0.5))
             kept.energy()
             grown = resident() - before
-            cut = int(np.count_nonzero(h.times() < -0.5))
+            cut = int(np.count_nonzero(h.t0 + h.dt * np.arange(len(h)) < -0.5))
             print(grown, len(h) - cut)
         """
         proc = subprocess.run(
@@ -360,4 +360,4 @@ class TestOwnership:
     )
     def test_sampling_rejects_grids_without_finite_values(self, t0, dt, n, message):
         with pytest.raises(ValueError, match=message):
-            AnalogImpulseResponse(self.BAND).sample(t0, dt, n)
+            _sample(self.BAND, t0, dt, n)

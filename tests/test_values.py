@@ -14,7 +14,6 @@ import pytest
 
 from causalgap import (
     AnalogDelay,
-    AnalogImpulseResponse,
     ApproximationReport,
     BandpassInterval,
     DigitalDelay,
@@ -24,12 +23,13 @@ from causalgap import (
     OracleDistance,
     SampledSignal,
 )
+from causalgap import analog
 from causalgap.verify import CheckResult
 
 BAND = BandpassInterval(0.0, 2.0)
 DIGITAL_BAND = BandpassInterval(2.0, 4.0, "digital")
 
-#: (class, fields in order, repr) for the nine classes that compare by field
+#: (class, fields in order, repr) for the eight classes that compare by field
 VALUE_CASES = [
     (
         BandpassInterval,
@@ -46,11 +46,6 @@ VALUE_CASES = [
         },
         "ApproximationReport(kernel_norm=1.0, distance=0.5, angle=0.5, subspace='Delayed', "
         "method='ClosedForm', error_estimate=0.0, delay=1.5, converged=True)",
-    ),
-    (
-        AnalogImpulseResponse,
-        {"band": BAND},
-        "AnalogImpulseResponse(band=BandpassInterval(a=0.0, b=2.0, mode='analog'))",
     ),
     (
         NormEstimate,
@@ -260,7 +255,7 @@ class TestValidation:
              "angle must lie in [0, pi/2]"),
             (lambda: ApproximationReport(1.0, 0.5, 0.5, "Acausal", "ClosedForm"),
              "unknown subspace 'Acausal'"),
-            (lambda: AnalogImpulseResponse(DIGITAL_BAND), "expected an analog band"),
+            (lambda: analog._sample(DIGITAL_BAND, 0.0, 1.0, 1), "expected an analog band"),
             (lambda: NormEstimate(2.0, 1.0), "lower bound exceeds upper bound"),
         ],
     )
