@@ -134,13 +134,5 @@ class DigitalSequence(Frozen):
     def __len__(self) -> int:
         return len(self.values)
 
-    def indices(self) -> np.ndarray:
-        import numpy as np
-
-        return self.offset + np.arange(len(self.values))
-
     def norm(self) -> float:
         return math.sqrt(_sum_of_squares(self.values))
-
-    def shifted(self, m: int) -> "DigitalSequence":
-        return DigitalSequence._own(self.offset + m, self.values)

@@ -1,15 +1,17 @@
-"""Self-check suites wiring the closed forms to their brute-force oracles.
+"""Self-check suites: one line per theorem of the paper or of its proofs.
 
-Each check returns a CheckResult instead of raising, so the CLI can print a
-full pass/fail table.  Randomized checks derive every draw from the given
-seed; two runs with the same seed produce identical results, including the
-detail strings.  Each such check draws from its own random.Random, seeded
-with seed * 1000 + a stream number below 1000, so the draws are the same on
-every platform and numpy version and verify needs only numpy's core: a
-kernel's taps are bytes of that stream, mapped to doubles by numpy's
-integer ops.  Each array check compares energies, adds back the mean of
-the kernel tail its grid misses (the oracles add it themselves), and allows
-the proven rest, its rule's error and _ROUNDING.
+Each line compares what the library reports with a second route that
+shares no code with it, and prints the worst gap against a stated bound:
+proven where a proof is known, else an allowance that rests on a measured
+error and says so.  Each check returns a CheckResult instead of raising,
+so the CLI can print a full pass/fail table.  Randomized checks draw from
+their own random.Random, seeded with seed * 1000 + a stream number below
+1000, so two runs with one seed print the same bytes on every platform and
+numpy version, and verify needs only numpy's core: a kernel's taps are
+bytes of that stream, mapped to doubles by numpy's integer ops.  Each array
+check compares energies, adds back the mean of the kernel tail its grid
+misses (the oracles add it themselves), and allows the proven rest, its
+rule's error and _ROUNDING.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import analog, digital, operators
 from ._frozen import Frozen
 from .errors import DomainError
-from .kernel import TWO_PI, BandpassInterval, oscillatory_tail_integral, oscillatory_tail_sum
+from .kernel import _TWO_PI_LO, TWO_PI, BandpassInterval, oscillatory_tail_sum
 from .oracle import (
     _analog_tail,
     _digital_tail,
@@ -37,6 +39,20 @@ __all__ = ["CheckResult", "run_checks", "SUITES"]
 PI_4 = 0.25 * math.pi
 #: allowance for rounding in the sums the oracle checks compare, far above it
 _ROUNDING = 1e-12
+#: the unit roundoff of a double
+_U = 2.0**-53
+#: how many ulps a reported distance or angle, or a tail sum, may sit from
+#: its exact value: measured, not proven, until ROADMAP item 2.  Against
+#: 40-digit mpmath (tests/mpref.py) the worst seen is 3.4 ulp, an analog
+#: angle, on seeded grids of 3,000 analog and 2,730 digital reports, and
+#: 4.1e-16 relative for oscillatory_tail_sum (tests/test_kernel.py)
+_ULPS = 4
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1)."""
+    return n * _U / (1.0 - n * _U)
 
 
 class CheckResult(Frozen):
@@ -49,14 +65,8 @@ class CheckResult(Frozen):
         object.__setattr__(self, "detail", detail)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".3e")
-
-
 def _result(suite: str, name: str, worst: float, tol: float) -> CheckResult:
-    return CheckResult(
-        suite, name, worst <= tol, f"worst {_fmt(worst)} tol {_fmt(tol)}"
-    )
+    return CheckResult(suite, name, worst <= tol, f"worst {worst:.3e} tol {tol:.3e}")
 
 
 def _worst_case(suite: str, name: str, cases) -> CheckResult:
@@ -79,6 +89,11 @@ def _rule_error(c: float, a: float, b: float, dt: float, k: int) -> float:
     return dt**2 / k * (abs(df(a)) + abs(df(b))) + dt**4 / 384 * d4
 
 
+def _rise(values: list[float]) -> float:
+    """The largest step up from one value to the next, or 0.0."""
+    return max([0.0] + [b - a for a, b in zip(values, values[1:])])
+
+
 def _rng(seed: int, stream: int) -> random.Random:
     """The generator of one check's draws: stream < 1000 numbers the check."""
     return random.Random(seed * 1000 + stream)
@@ -98,30 +113,16 @@ def _random_analog_bands(seed: int, n: int) -> list[BandpassInterval]:
 
 
 def _chk_causal_constants(seed: int) -> CheckResult:
+    # sqrt(c / 2) and pi / 4 are each one correctly rounded operation
+    # (IEEE 754 sqrt; 0.5 c and math.pi / 4 scale exactly), so the report
+    # and the reference each lie within half an ulp of the exact value,
+    # which is below sqrt(50) for the widths drawn
     worst = 0.0
     for band in _random_analog_bands(seed, 25):
         rep = analog.causal_report(band)
-        worst = max(
-            worst,
-            abs(rep.angle - PI_4),
-            abs(rep.distance - math.sqrt(0.5 * (band.b - band.a))),
-        )
-    return _result("analog", "causal-constants", worst, 1e-15)
-
-
-def _chk_delay_zero(seed: int) -> CheckResult:
-    worst = 0.0
-    for band in (
-        BandpassInterval.analog(0.0, 2.0),
-        BandpassInterval.analog(-2.0, 3.0),
-        BandpassInterval.analog(0.0, math.pi),
-    ):
-        zero = analog.delayed_report(band, AnalogDelay(0.0))
-        causal = analog.causal_report(band)
-        worst = max(
-            worst, abs(zero.distance - causal.distance), abs(zero.angle - causal.angle)
-        )
-    return _result("analog", "delay-zero-matches-causal", worst, 1e-12)
+        want = math.sqrt(0.5 * (band.b - band.a))
+        worst = max(worst, abs(rep.angle - PI_4), abs(rep.distance - want))
+    return _result("analog", "causal-constants", worst, math.ulp(math.sqrt(50.0)))
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,20 +152,48 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GAUSS_LEGENDRE_64 = _gauss_legendre(64)
 
 
+def _gauss_mass_error(c: float, T: float, rule: float, kernel: np.ndarray) -> float:
+    """Bound on |rule - m|, m the mass of k(t) = (1 - cos ct) / (pi t^2) =
+    (c^2 / pi) phi(ct) over [-T, T], rule = T sum_i w_i k(t_i) the 64-point
+    Gauss-Legendre rule on [0, T] and kernel the k(t_i).  As
+    phi(w) = integral_0^1 (1 - s) cos(sw) ds, |phi(w)| <= cosh(Im w) / 2 and
+    |phi'| <= 1/6.  The rule's error on the Bernstein ellipse E_rho, where
+    f(s) = T k(T (s + 1) / 2) is at most M = T c^2 / (2 pi) cosh(cT (rho -
+    1/rho) / 4), is at most 64 M / (15 (1 - rho^-2) rho^128) (Trefethen,
+    SIAM Review 50(1), 2008, Thm 4.5): below 1e-60 at rho = 8 for cT <= 60.
+    Seven roundings in each k(t_i), 64 in the dot product and one in T times
+    it make gamma_72 of the positive sum (Higham, Lemma 3.1 and (3.5)).
+    The stored nodes lie within u and the weights within 2u of a 50-digit
+    rule, measured, until ROADMAP item 2; with two roundings each t_i lies
+    within 2.5 u T of its place, and |k'| <= c^3 / (6 pi).
+    """
+    rho = 8.0
+    big = T * c * c / TWO_PI * math.cosh(0.25 * c * T * (rho - 1.0 / rho))
+    rule_error = 64.0 * big / (15.0 * (1.0 - rho**-2) * rho**128)
+    nodes = 5.0 * _U * T * T * c**3 / (6.0 * math.pi)
+    weights = 2.0 * _U * T * float(np.sum(kernel))
+    return rule_error + _gamma(72) * rule + nodes + weights
+
+
 def _chk_quad_vs_si(seed: int) -> CheckResult:
-    # kernel mass over [-T, T]: the closed form against a fixed 64-point
-    # Gauss-Legendre rule on [0, T] of 2 sin^2(c t / 2) / (pi t^2), which
-    # shares no code with it
+    # kernel mass over [-T, T]: c - 2 d(T)^2 with the distance the analog
+    # report gives, against a fixed 64-point Gauss-Legendre rule on [0, T]
+    # of 2 sin^2(c t / 2) / (pi t^2), which shares no code with it; d is
+    # within _ULPS ulps, and forming c - 2 d^2 rounds twice
     nodes, weights = _GAUSS_LEGENDRE_64
-    worst = 0.0
+    gaps, bounds = [], []
     for c in (0.5, 1.0, math.pi, 6.0):
+        band = BandpassInterval.analog(0.0, c)
         for T in (0.1, 1.0, 10.0):
             t = 0.5 * T * (nodes + 1.0)
             kernel = 2.0 * np.sin(0.5 * c * t) ** 2 / (math.pi * t * t)
             rule = T * float(np.dot(weights, kernel))
-            closed = c - 2.0 * oscillatory_tail_integral(c, T) / math.pi
-            worst = max(worst, abs(rule - closed))
-    return _result("analog", "quadrature-vs-sine-integral", worst, 1e-8)
+            d = analog.delayed_report(band, AnalogDelay(T)).distance
+            gaps.append(abs(rule - (c - 2.0 * d * d)))
+            closed_error = 4.0 * d * _ULPS * math.ulp(d) + _gamma(2) * (c + 2.0 * d * d)
+            bounds.append(_gauss_mass_error(c, T, rule, kernel) + closed_error)
+    # each gap lies within its own bound, so the widest within the widest
+    return _result("analog", "quadrature-vs-sine-integral", max(gaps), max(bounds))
 
 
 def _chk_distance_monotone(seed: int) -> CheckResult:
@@ -172,10 +201,9 @@ def _chk_distance_monotone(seed: int) -> CheckResult:
     band = _random_analog_bands(seed, 1)[0]
     ladder = sorted(rng.uniform(0.0, 100.0) for _ in range(8))
     dist = [analog.delayed_distance_si(band, AnalogDelay(T)) for T in ladder]
-    worst = max(
-        (dist[i + 1] - dist[i] for i in range(len(dist) - 1)), default=0.0
-    )
-    return _result("analog", "distance-nonincreasing-in-T", max(0.0, worst), 1e-10)
+    # each distance within _ULPS ulps of d(T), which does not rise with T
+    tol = 2 * _ULPS * math.ulp(dist[0])
+    return _result("analog", "distance-nonincreasing-in-T", _rise(dist), tol)
 
 
 def _chk_angle_range(seed: int) -> CheckResult:
@@ -185,7 +213,10 @@ def _chk_angle_range(seed: int) -> CheckResult:
         for T in (0.0, 0.7, 3.0, 20.0):
             rep = analog.delayed_report(band, AnalogDelay(T))
             worst = max(worst, -rep.angle, rep.angle - PI_4)
-    return _result("analog", "angle-within-quarter-turn", max(0.0, worst), 1e-12)
+    # asin of a nonnegative ratio is nonnegative; an angle of at most pi / 4
+    # is reported within _ULPS ulps of it, and PI_4 within half an ulp
+    tol = (_ULPS + 0.5) * math.ulp(PI_4)
+    return _result("analog", "angle-within-quarter-turn", max(0.0, worst), tol)
 
 
 def _chk_analog_oracle(seed: int) -> CheckResult:
@@ -213,24 +244,30 @@ def _chk_plancherel(seed: int) -> CheckResult:
 
 
 def _chk_bandwidth_to_zero(seed: int) -> CheckResult:
-    band = BandpassInterval.analog(0.0, 1e-6)
-    rep = analog.delayed_report(band, AnalogDelay(1.0))
-    return _result("analog", "narrow-band-angle-limit", abs(rep.angle - PI_4), 1e-3)
+    # sin^2(angle) = 1/2 - S(x) / pi at x = cT, S(x) = integral_0^x (1 - cos u)
+    # / u^2 du in [0, x / 2], so cos(2 angle) lies in [0, x / pi] and
+    # |angle - pi / 4| <= asin(x / pi) / 2; plus _ULPS ulps and PI_4's half ulp
+    band, T = BandpassInterval.analog(0.0, 1e-6), 1.0
+    rep = analog.delayed_report(band, AnalogDelay(T))
+    tol = 0.5 * math.asin(band.bandwidth * T / math.pi) + (_ULPS + 0.5) * math.ulp(PI_4)
+    return _result("analog", "narrow-band-angle-limit", abs(rep.angle - PI_4), tol)
 
 
 # ---------------------------------------------------------------- digital
 
 
-def _half_circle() -> BandpassInterval:
-    return BandpassInterval.digital(0.5 * math.pi, 1.5 * math.pi)
+_HALF_CIRCLE = BandpassInterval.digital(0.5 * math.pi, 1.5 * math.pi)
 
 
 def _chk_half_circle_constants(seed: int) -> CheckResult:
-    rep = digital.causal_report_digital(_half_circle())
+    # the report within _ULPS ulps, each reference two roundings from
+    # 1 / (2 sqrt 2) or pi / 6, which is the larger
+    rep = digital.causal_report_digital(_HALF_CIRCLE)
     worst = max(
         abs(rep.distance - 0.5 / math.sqrt(2.0)), abs(rep.angle - math.pi / 6.0)
     )
-    return _result("digital", "half-circle-constants", worst, 1e-15)
+    tol = (_ULPS + 1) * math.ulp(math.pi / 6.0)
+    return _result("digital", "half-circle-constants", worst, tol)
 
 
 def _chk_digital_oracle(seed: int) -> CheckResult:
@@ -260,38 +297,18 @@ def _chk_parseval(seed: int) -> CheckResult:
 
 
 def _chk_angle_monotone_N(seed: int) -> CheckResult:
-    worst = 0.0
+    worst, top = 0.0, 0.0
     for c in (1.0, math.pi):
         band = digital._band_of_width(c)
-        angles = [
-            digital.delayed_report_digital(band, DigitalDelay(N)).angle
-            for N in range(51)
-        ]
-        worst = max(
-            worst,
-            max(
-                (angles[i + 1] - angles[i] for i in range(len(angles) - 1)),
-                default=0.0,
-            ),
-        )
-    return _result("digital", "angle-nonincreasing-in-N", max(0.0, worst), 1e-15)
-
-
-def _chk_causal_is_delay_zero(seed: int) -> CheckResult:
-    ok = True
-    for c in (0.3, 1.0, math.pi):
-        band = digital._band_of_width(c)
-        a = digital.causal_report_digital(band)
-        b = digital.delayed_report_digital(band, DigitalDelay(0))
-        ok = ok and a.distance == b.distance and a.angle == b.angle
-    return CheckResult(
-        "digital", "causal-equals-zero-lookahead", ok, "bit-identical" if ok else "mismatch"
-    )
+        angles = [digital.delayed_report_digital(band, DigitalDelay(N)).angle for N in range(51)]
+        worst, top = max(worst, _rise(angles)), max(top, angles[0])
+    # each angle within _ULPS ulps of one that does not rise with N
+    return _result("digital", "angle-nonincreasing-in-N", worst, 2 * _ULPS * math.ulp(top))
 
 
 def _chk_best_coefficients(seed: int) -> CheckResult:
     # h holds c_k for -K <= k <= 0; the energy below -K is added back
-    band = _half_circle()
+    band = _HALF_CIRCLE
     K = 10**4
     rep = digital.causal_report_digital(band)
     h = digital.best_causal_coefficients(band, DigitalDelay(0), K)
@@ -302,12 +319,14 @@ def _chk_best_coefficients(seed: int) -> CheckResult:
 
 
 def _chk_tail_sum_route(seed: int) -> CheckResult:
-    # the whole tail from k = 1 against Parseval: sum_k (1 - cos kc)/k^2 = c(2 pi - c)/4
+    # the whole tail from k = 1 against Parseval: sum_k (1 - cos kc)/k^2 =
+    # c(2 pi - c)/4, with 2 pi - c against the two-part 2 pi, so the
+    # reference is three roundings off; the sum is within _ULPS ulps
     worst = 0.0
     for c in (0.1, 1.0, math.pi, 6.0):
-        parseval = 0.25 * c * (2.0 * math.pi - c)
+        parseval = 0.25 * c * ((TWO_PI - c) + _TWO_PI_LO)
         worst = max(worst, abs(oscillatory_tail_sum(c, 1) - parseval) / parseval)
-    return _result("digital", "tail-sum-dual-route", worst, 1e-14)
+    return _result("digital", "tail-sum-dual-route", worst, _gamma(3) + 2 * _ULPS * _U)
 
 
 # -------------------------------------------------------------- operators
@@ -323,53 +342,21 @@ def _random_kernel(rng: random.Random) -> DigitalSequence:
 
 
 def _chk_matched_filter(seed: int) -> CheckResult:
+    # the matched input's peak output against ||h||, equal by Cauchy-Schwarz.
+    # Higham's bound on both roundings, gamma_(4n+4) ||h||, reaches 2.6e-12
+    # at 256 taps of norm sqrt(512), so 1e-12 stays: measured, until ROADMAP
+    # item 2; the worst over seeds 0-999 is 10 ulps of ||h||, 1.8e-14
     rng = _rng(seed, 301)
     worst = 0.0
     for _ in range(50):
         h = _random_kernel(rng)
-        est = operators.operator_norm_estimate(h)
-        # the certificate against ||h||, and the matched peak against the bound
-        worst = max(worst, abs(est.lower - h.norm()), est.lower - (est.upper + 1e-12))
+        worst = max(worst, abs(operators.operator_norm_estimate(h).lower - h.norm()))
     return _result("operators", "matched-filter-norm-identity", worst, 1e-12)
-
-
-def _chk_time_invariance(seed: int) -> CheckResult:
-    rng = _rng(seed, 302)
-    ok = True
-    for _ in range(20):
-        x = _random_kernel(rng)
-        h = _random_kernel(rng)
-        m = rng.randrange(-20, 21)
-        lhs = operators.convolve_digital(x.shifted(m), h)
-        rhs = operators.convolve_digital(x, h).shifted(m)
-        ok = ok and lhs.offset == rhs.offset and np.array_equal(lhs.values, rhs.values)
-    return CheckResult(
-        "operators", "shift-commutes-with-convolution", ok, "exact" if ok else "mismatch"
-    )
-
-
-def _chk_truncation_residual(seed: int) -> CheckResult:
-    rng = _rng(seed, 303)
-    ok = True
-    for _ in range(20):
-        h = _random_kernel(rng)
-        N = rng.randrange(0, 8)
-        kept = operators.truncate_to_delay(h, DigitalDelay(N))
-        dropped = h.indices() < -N
-        ok = ok and np.all(kept.values[dropped] == 0.0)
-        ok = ok and np.array_equal(kept.values[~dropped], h.values[~dropped])
-        ok = ok and kept.offset == h.offset
-    return CheckResult(
-        "operators",
-        "truncation-residual-identity",
-        bool(ok),
-        "projection exact" if ok else "mismatch",
-    )
 
 
 def _chk_digital_truncation_limit(seed: int) -> CheckResult:
     # h holds c_k for |k| <= K; the energy above K is added back
-    band = _half_circle()
+    band = _HALF_CIRCLE
     K = 2048
     h = digital.best_causal_coefficients(band, DigitalDelay(K), K)
     kept = operators.truncate_to_delay(h, DigitalDelay(0))
@@ -399,7 +386,6 @@ def _chk_sampled_analog_truncation(seed: int) -> CheckResult:
 SUITES: dict[str, tuple] = {
     "analog": (
         _chk_causal_constants,
-        _chk_delay_zero,
         _chk_quad_vs_si,
         _chk_distance_monotone,
         _chk_angle_range,
@@ -412,14 +398,11 @@ SUITES: dict[str, tuple] = {
         _chk_digital_oracle,
         _chk_parseval,
         _chk_angle_monotone_N,
-        _chk_causal_is_delay_zero,
         _chk_best_coefficients,
         _chk_tail_sum_route,
     ),
     "operators": (
         _chk_matched_filter,
-        _chk_time_invariance,
-        _chk_truncation_residual,
         _chk_digital_truncation_limit,
         _chk_sampled_analog_truncation,
     ),
@@ -434,14 +417,7 @@ def run_checks(suite: str, seed: int = 0) -> list[CheckResult]:
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    results = []
-    for name in names:
-        for chk in SUITES[name]:
-            results.append(chk(seed))
-    return results
+    names = list(SUITES) if suite == "all" else [suite]
+    return [chk(seed) for name in names for chk in SUITES[name]]

@@ -330,7 +330,7 @@ class TestCsvOutputs:
             argv += ["--delay-samples", str(N)]
             seq = truncate_to_delay(seq, DigitalDelay(N))
         rows = [f"{n},{cli._num(v.real)},{cli._num(v.imag)}"
-                for n, v in zip(seq.indices(), seq.values)]
+                for n, v in zip(seq.offset + np.arange(len(seq)), seq.values)]
         code, out, _ = run_main(capsys, *argv)
         assert code == 0
         assert out == "\n".join(["index_or_time,re,im", *rows]) + "\n"

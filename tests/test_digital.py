@@ -107,7 +107,7 @@ class TestTwoSidedTaps:
         band = BandpassInterval.digital(1.0, 4.0)
         taps = best_causal_coefficients(band, DigitalDelay(6), 6)
         assert len(taps) == 13
-        assert np.array_equal(taps.indices(), np.arange(-6, 7))
+        assert np.array_equal(taps.offset + np.arange(len(taps)), np.arange(-6, 7))
         for k in range(-6, 7):
             assert abs(taps.values[6 - k] - _literal(band, k)) <= 1e-15
 
@@ -388,7 +388,7 @@ class TestBestCausalCoefficients:
         seq = best_causal_coefficients(band, DigitalDelay(2), window=5)
         assert seq.offset == -2
         assert len(seq) == 8
-        indices = seq.indices()
+        indices = seq.offset + np.arange(len(seq))
         for i, n in enumerate(indices):
             expected = _literal(band, -int(n))
             assert abs(seq.values[i] - expected) <= 1e-15

@@ -1,20 +1,49 @@
 """The built-in self-check suites must pass on a correct build."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from causalgap import ApproximationReport, DomainError, analog, digital, verify
+from causalgap import ApproximationReport, DomainError, analog, digital, kernel, verify
 from causalgap.verify import SUITES, CheckResult, run_checks
+
+#: every line verify prints, in order: one per theorem
+LINES = [
+    ("analog", "causal-constants"),
+    ("analog", "quadrature-vs-sine-integral"),
+    ("analog", "distance-nonincreasing-in-T"),
+    ("analog", "angle-within-quarter-turn"),
+    ("analog", "riemann-oracle-agreement"),
+    ("analog", "kernel-norm-plancherel"),
+    ("analog", "narrow-band-angle-limit"),
+    ("digital", "half-circle-constants"),
+    ("digital", "series-oracle-agreement"),
+    ("digital", "parseval-defect"),
+    ("digital", "angle-nonincreasing-in-N"),
+    ("digital", "best-approximant-energy-split"),
+    ("digital", "tail-sum-dual-route"),
+    ("operators", "matched-filter-norm-identity"),
+    ("operators", "causal-truncation-energy"),
+    ("operators", "sampled-truncation-energy"),
+]
 
 
 def test_all_suites_pass():
     results = run_checks("all", seed=0)
-    assert len(results) >= 20
+    assert [(r.suite, r.name) for r in results] == LINES
     failed = [r for r in results if not r.passed]
     assert failed == []
+
+
+def test_every_line_passes_with_its_gap_and_bound_for_100_seeds():
+    # the seeded lines draw new bands, ladders and kernels for each seed
+    detail = re.compile(r"worst \d\.\d{3}e[+-]\d{2} tol \d\.\d{3}e[+-]\d{2}")
+    for seed in range(100):
+        for r in run_checks("all", seed):
+            assert r.passed and detail.fullmatch(r.detail), (seed, r.suite, r.name, r.detail)
 
 
 def test_single_suite_selection():
@@ -113,7 +142,8 @@ def _scaled(report_fn):
 
 @pytest.mark.parametrize("module, report, oracle_checks", [
     (analog, "delayed_report",
-     {"analog.riemann-oracle-agreement", "operators.sampled-truncation-energy"}),
+     {"analog.quadrature-vs-sine-integral", "analog.riemann-oracle-agreement",
+      "operators.sampled-truncation-energy"}),
     (digital, "delayed_report_digital", {"digital.series-oracle-agreement"}),
     # the two checks that add back the mean of the coefficients beyond a window
     (digital, "causal_report_digital",
@@ -123,3 +153,23 @@ def test_oracle_checks_fail_a_distance_off_by_1e_4(monkeypatch, module, report, 
     monkeypatch.setattr(module, report, _scaled(getattr(module, report)))
     failed = {f"{r.suite}.{r.name}" for r in run_checks("all", seed=0) if not r.passed}
     assert oracle_checks <= failed
+
+
+def _failed_under(monkeypatch, fn, modules):
+    """The lines that fail for seed 0 with fn(...) 1e-12 larger, relatively,
+    in each of modules."""
+    mutant = lambda *args: fn(*args) * (1.0 + 1e-12)  # noqa: E731
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, mutant)
+    return {f"{r.suite}.{r.name}" for r in run_checks("all", seed=0) if not r.passed}
+
+
+def test_quadrature_line_fails_an_analog_tail_off_by_1e_12(monkeypatch):
+    # the tail behind every analog report, mutated in analog alone
+    failed = _failed_under(monkeypatch, analog.oscillatory_tail_integral, [analog])
+    assert "analog.quadrature-vs-sine-integral" in failed
+
+
+def test_dual_route_line_fails_a_tail_sum_off_by_1e_12(monkeypatch):
+    failed = _failed_under(monkeypatch, kernel.oscillatory_tail_sum, [kernel, verify])
+    assert "digital.tail-sum-dual-route" in failed
